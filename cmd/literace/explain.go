@@ -46,14 +46,10 @@ func cmdExplain(args []string) error {
 	asHTML := fs.Bool("html", false, "render a self-contained HTML page")
 	asJSON := fs.Bool("json", false, "emit the literace.forensics/v1 JSON document")
 	metricsPath := fs.String("metrics", "", "write a JSON telemetry snapshot to this file")
-	engine := engineFlag(fs)
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("explain wants one input file (a .lir program or a .trc log)")
-	}
-	if err := checkEngine(*engine); err != nil {
-		return err
 	}
 	if *asHTML && *asJSON {
 		return fmt.Errorf("explain: pick one of -html and -json")
@@ -67,7 +63,6 @@ func cmdExplain(args []string) error {
 		MaxOccurrences: *maxOcc,
 		NearMissMargin: *margin,
 		Scale:          *scale,
-		Engine:         *engine,
 	}
 	var reg *obs.Registry
 	if *metricsPath != "" {

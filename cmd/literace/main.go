@@ -108,9 +108,6 @@ func main() {
 	}
 	if err != nil {
 		rootLogger().Error("command failed", "cmd", cmd, "err", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
 		if errors.Is(err, ledger.ErrDriftExceeded) {
 			os.Exit(3)
 		}
@@ -126,13 +123,13 @@ func usage() {
   asm     <prog.lir>                assemble and validate
   disasm  <prog.lir>                print canonical disassembly
   rewrite <prog.lir>                print instrumentation statistics
-  run     <prog.lir> [-log f] [-sampler S] [-seed N] [-engine vc|epoch] [-sched] [-serve ADDR] [-metrics f] [-report-out f] [-ledger dir] [-cpuprofile f] [-memprofile f]
-  detect  <log.trc> [-src prog.lir] [-engine vc|epoch] [-salvage] [-json] [-metrics f] [-report-out f] [-ledger dir]
-  explain <prog.lir> [-sampler S] [-seed N] [-engine vc|epoch] [-scale N] [-margin N] [-window N] [-max-occ N] [-o f] [-html|-json]
+  run     <prog.lir> [-log f] [-sampler S] [-seed N] [-sched] [-serve ADDR] [-metrics f] [-report-out f] [-ledger dir] [-cpuprofile f] [-memprofile f]
+  detect  <log.trc> [-src prog.lir] [-salvage] [-json] [-metrics f] [-report-out f] [-ledger dir]
+  explain <prog.lir> [-sampler S] [-seed N] [-scale N] [-margin N] [-window N] [-max-occ N] [-o f] [-html|-json]
   explain <log.trc> -src prog.lir [same rendering flags]
           forensic race report: per-occurrence vector-clock evidence, sync frontiers, locksets,
           witness interleavings, burst attribution, near-miss analytics; always exits 0 on success
-  watch   <log.trc> [-src prog.lir] [-shards N] [-engine vc|epoch] [-poll d] [-idle d] [-quiet] [-json] [-serve ADDR] [-metrics f]
+  watch   <log.trc> [-src prog.lir] [-shards N] [-poll d] [-idle d] [-quiet] [-json] [-serve ADDR] [-metrics f]
           [-forward ADDR [-producer NAME]] [-slo] [-slo-sustain N] [-slo-max-lag N] [-slo-max-stage-ms N] [-slo-max-crc N] [-slo-max-gaps N]
           online detection over a live or completed log: races stream to stderr as found,
           the final report (identical to detect's) prints when the log completes or goes idle;
@@ -147,14 +144,12 @@ func usage() {
   report  ls       [-ledger dir]                     list run-report ledger entries
   report  show     [-ledger dir] [-json] <id>        print one ledger report
   report  compare  [-ledger dir] [-strict] [-json] <A> <B>   drift between two reports (exit 3 past thresholds)
-  bench   [-list | key] [-engine vc|epoch] [-serve ADDR] [-overhead-out f]
+  bench   [-list | key] [-serve ADDR] [-overhead-out f]
           [-stream-out f [-stream-bench key] [-stream-baseline f]]
           [-collector-out f [-collector-producers N] [-collector-baseline f]]
           [-soak-out f [-soak-seconds S] [-soak-producers N] [-soak-interval d] [-soak-min-samples N] [-soak-baseline f]]
-          [-epoch-out f [-epoch-baseline f]]
           run benchmarks (see -list; exit 3 on baseline drift; -soak-out churns a fault-injected
-          producer fleet through a collector and gates on bounded heap/backlog over the recorded history;
-          -epoch-out races the epoch engine against the vector-clock oracle over the benchmark matrix)
+          producer fleet through a collector and gates on bounded heap/backlog over the recorded history)
   stats   <prog.lir> [-sampler S] [-seed N] [-json]  pipeline telemetry + coverage report
   serve-collector [-listen ADDR] [-serve ADDR] [-out dir] [-ledger dir] [-addr-file f] [-src prog.lir]
           [-done-after N] [-done-timeout d] [-resume-grace d] [-idle-timeout d] [-max-sessions N] [-max-reorder N]
@@ -164,34 +159,9 @@ func usage() {
   ship    <log.trc> -to ADDR -producer NAME [-module M] [-frame N] [-attempts N] [-throttle d] [-telemetry] [-quiet]
           stream a log to a collector with retry and resume; prints the collector's report
           (byte-identical to detect's on a healthy link)
-Commands that run detection (run, detect, explain, watch, bench) accept -engine vc|epoch (default vc):
-the epoch core is the fast path and reports byte-identical races; unknown engine names exit 2.
 Commands that log diagnostics accept -log-format text|json and -log-level debug|info|warn|error
 (structured slog lines on stderr; stdout carries only the command's data output).
 Exit codes: 0 ok, 1 error, 2 usage, 3 baseline/report drift, 4 sustained SLO breach (see docs/OBSERVABILITY.md).`)
-}
-
-// errUsage marks command-line validation failures — a bad flag value,
-// not a runtime failure. main maps it to exit code 2, the same code
-// flag.ExitOnError uses for malformed flags.
-var errUsage = errors.New("usage")
-
-// engineFlag registers the -engine flag on a command's flag set. Every
-// detection-running command takes it; checkEngine rejects unknown
-// values with a usage error after parsing.
-func engineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", literace.EngineVC,
-		"detection core: vc (vector-clock oracle) or epoch (fast-path shadow memory; identical races)")
-}
-
-// checkEngine validates an -engine value, wrapping rejects as usage
-// errors so main exits 2.
-func checkEngine(name string) error {
-	if !literace.ValidEngine(name) {
-		return fmt.Errorf("%w: unknown engine %q (valid: %q, %q)",
-			errUsage, name, literace.EngineVC, literace.EngineEpoch)
-	}
-	return nil
 }
 
 func loadProgram(path string) (*literace.Program, error) {
@@ -346,14 +316,10 @@ func cmdRun(args []string) error {
 	ledgerDir := fs.String("ledger", "", "append the run report to the ledger at this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	engine := engineFlag(fs)
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run wants one source file")
-	}
-	if err := checkEngine(*engine); err != nil {
-		return err
 	}
 	log, err := lcfg.logger("run")
 	if err != nil {
@@ -398,7 +364,6 @@ func cmdRun(args []string) error {
 	wantReport := *reportOut != "" || *ledgerDir != ""
 	res, err := p.Run(literace.Config{
 		Sampler: *samplerName, Seed: *seed, SchedTrace: *sched, LogTo: f, Obs: reg, Log: log,
-		Engine: *engine,
 		// A run report needs the coverage table and race→burst
 		// attribution, so the report flags force both collectors on.
 		Coverage: wantReport,
@@ -438,14 +403,10 @@ func cmdDetect(args []string) error {
 	metricsPath := fs.String("metrics", "", "write a JSON telemetry snapshot to this file")
 	reportOut := fs.String("report-out", "", "write a literace.runreport/v2 artifact (races, ESR; no coverage table offline) to this file")
 	ledgerDir := fs.String("ledger", "", "append the detection report to the ledger at this directory")
-	engine := engineFlag(fs)
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("detect wants one log file")
-	}
-	if err := checkEngine(*engine); err != nil {
-		return err
 	}
 	log, err := lcfg.logger("detect")
 	if err != nil {
@@ -483,7 +444,7 @@ func cmdDetect(args []string) error {
 		return err
 	}
 	if *salvage {
-		rep, srep, err := literace.DetectSalvagedEngine(f, resolve, reg, *engine)
+		rep, srep, err := literace.DetectSalvaged(f, resolve, reg)
 		if err != nil {
 			return err
 		}
@@ -496,7 +457,7 @@ func cmdDetect(args []string) error {
 		}
 		return writeMetrics(*metricsPath, reg)
 	}
-	rep, err := literace.DetectEngine(f, resolve, reg, *engine)
+	rep, err := literace.DetectObs(f, resolve, reg)
 	if err != nil {
 		return err
 	}
@@ -820,14 +781,8 @@ func cmdBench(args []string) error {
 	soakInterval := fs.Duration("soak-interval", 0, "soak time-series sample interval (0 = 250ms)")
 	soakMinSamples := fs.Int("soak-min-samples", 0, "per-series sample floor the soak gates on (0 = 50)")
 	soakBaseline := fs.String("soak-baseline", "", "compare the -soak-out artifact against this committed baseline (exit 3 on drift)")
-	epochOut := fs.String("epoch-out", "", "run the epoch-vs-vc engine sweep over the benchmark matrix and write the BENCH_epoch.json artifact here")
-	epochBaseline := fs.String("epoch-baseline", "", "compare the -epoch-out artifact against this committed baseline (exit 3 on drift)")
-	engine := engineFlag(fs)
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
-	if err := checkEngine(*engine); err != nil {
-		return err
-	}
 	log, err := lcfg.logger("bench")
 	if err != nil {
 		return err
@@ -952,45 +907,6 @@ func cmdBench(args []string) error {
 		}
 		return nil
 	}
-	if *epochOut != "" {
-		cfg := harness.Config{
-			Seeds: []int64{*seed},
-			Scale: *scale,
-			Obs:   reg,
-			Logf:  logf,
-		}
-		sum, err := harness.BuildEpochBenchSummary(cfg)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*epochOut)
-		if err != nil {
-			return err
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d benchmarks, epoch %.2fx vs vc, parity %v (schema %s, scale %d, seed %d)\n",
-			*epochOut, len(sum.Benchmarks), sum.Speedup, sum.Parity, sum.Schema, sum.Scale, sum.Seed)
-		if !sum.Parity {
-			return fmt.Errorf("epoch engine lost parity with the vector-clock oracle (see %s)", *epochOut)
-		}
-		if *epochBaseline != "" {
-			base, err := harness.ReadEpochSummary(*epochBaseline)
-			if err != nil {
-				return err
-			}
-			if err := harness.CompareEpochSummaries(base, sum); err != nil {
-				return fmt.Errorf("epoch baseline %s: %w", *epochBaseline, err)
-			}
-			log.Info("epoch artifact matches baseline", "baseline", *epochBaseline)
-		}
-		return nil
-	}
 	if *soakOut != "" {
 		sum, err := harness.BuildSoakSummary(harness.SoakConfig{
 			Producers:      *soakProducers,
@@ -1049,7 +965,7 @@ func cmdBench(args []string) error {
 	if _, err := p.Instrument(); err != nil {
 		return err
 	}
-	res, rep, err := p.RunAndDetect(literace.Config{Sampler: *samplerName, Seed: *seed, Obs: reg, Log: log, Engine: *engine})
+	res, rep, err := p.RunAndDetect(literace.Config{Sampler: *samplerName, Seed: *seed, Obs: reg, Log: log})
 	if err != nil {
 		return err
 	}

@@ -50,14 +50,10 @@ func cmdWatch(args []string) error {
 	sloMaxGaps := fs.Int64("slo-max-gaps", -2, "tolerated sequence gaps (-1 disables, -2 = default)")
 	sloMaxBackpressure := fs.Int64("slo-max-backpressure", -2, "tolerated backpressure stalls (-1 disables, -2 = default)")
 	sloMaxDegrade := fs.Int64("slo-max-degrade", -2, "tolerated degrade-ordinal transitions (-1 disables, -2 = default)")
-	engine := engineFlag(fs)
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("watch wants one log file")
-	}
-	if err := checkEngine(*engine); err != nil {
-		return err
 	}
 	log, err := lcfg.logger("watch")
 	if err != nil {
@@ -134,7 +130,7 @@ func cmdWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := literace.StreamOptions{Shards: *shards, Obs: reg, Diag: rec, Log: streamLog, Engine: *engine}
+	opts := literace.StreamOptions{Shards: *shards, Obs: reg, Diag: rec, Log: streamLog}
 	var announce func(literace.StreamRace)
 	if !*quiet {
 		seen := make(map[string]bool)

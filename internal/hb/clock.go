@@ -1,0 +1,179 @@
+package hb
+
+import (
+	"literace/internal/lir"
+	"literace/internal/obs"
+	"literace/internal/trace"
+)
+
+// ClockEngine is the synchronization half of happens-before detection,
+// shared by the batch Detector and the streaming pipeline: per-thread
+// vector clocks, the clock each sync var published at its last release,
+// the last-release record behind Options.OnEdge, and each thread's
+// evidence state. It also applies the SamplerBit filter and counts the
+// events it sees. The memory-access half is shadow.Engine.
+type ClockEngine struct {
+	threads  []*ThreadClock // indexed by tid
+	vars     map[uint64]VC  // sync var -> clock published by its releases
+	lastRel  map[uint64]relInfo
+	onEdge   func(Edge)
+	evidence bool
+	bit      int
+
+	// MemOps and SyncOps count the memory events that passed the
+	// SamplerBit filter and the sync events applied.
+	MemOps  uint64
+	SyncOps uint64
+
+	obsJoins *obs.Counter // hb.vc_joins
+	obsMem   *obs.Counter // hb.mem_events
+	obsSync  *obs.Counter // hb.sync_events
+}
+
+// ThreadClock is one thread's view in the clock engine.
+type ThreadClock struct {
+	// VC is the live clock. Sync events mutate it in place, so a caller
+	// that keeps a clock past the next sync event takes Snapshot instead.
+	VC VC
+	// MemSeq counts this thread's analyzed memory events (1-based after
+	// the first access); see DynamicRace.PrevSeq.
+	MemSeq uint64
+
+	// pub is the immutable copy of VC that accesses share until a sync
+	// event changes VC (dirty); ev is the evidence state.
+	pub   VC
+	dirty bool
+	ev    EvidenceState
+}
+
+// relInfo remembers the last release on a sync var so a later acquire
+// can be reported as a happens-before edge.
+type relInfo struct {
+	tid     int32
+	pc      lir.PC
+	counter uint8
+	ts      uint64
+}
+
+// NewClockEngine returns a clock engine honoring opts.SamplerBit,
+// opts.OnEdge, opts.Evidence and opts.Obs.
+func NewClockEngine(opts Options) *ClockEngine {
+	c := &ClockEngine{
+		vars:     make(map[uint64]VC),
+		onEdge:   opts.OnEdge,
+		evidence: opts.Evidence,
+		bit:      opts.SamplerBit,
+	}
+	if opts.OnEdge != nil {
+		c.lastRel = make(map[uint64]relInfo)
+	}
+	if opts.Obs != nil {
+		c.obsJoins = opts.Obs.Counter("hb.vc_joins")
+		c.obsMem = opts.Obs.Counter("hb.mem_events")
+		c.obsSync = opts.Obs.Counter("hb.sync_events")
+	}
+	return c
+}
+
+// Thread returns tid's clock state, creating it on first use.
+func (c *ClockEngine) Thread(tid int32) *ThreadClock {
+	if int(tid) < len(c.threads) && c.threads[tid] != nil {
+		return c.threads[tid]
+	}
+	return c.newThread(tid)
+}
+
+// newThread is Thread's cold path, kept out of line so Thread inlines.
+//
+//go:noinline
+func (c *ClockEngine) newThread(tid int32) *ThreadClock {
+	for int(tid) >= len(c.threads) {
+		c.threads = append(c.threads, nil)
+	}
+	// A fresh thread starts at clock 1 so its epoch (tid, 1) is not
+	// vacuously happens-before everything.
+	t := &ThreadClock{VC: VC{}.Set(tid, 1)}
+	c.threads[tid] = t
+	return t
+}
+
+// Sync applies one acquire, release or acq-rel event: an acquire joins
+// the sync var's published clock into the thread's, a release publishes
+// the thread's clock into the var and ticks the thread, an acq-rel does
+// both in that order.
+func (c *ClockEngine) Sync(e *trace.Event) {
+	c.SyncOps++
+	c.obsSync.Inc()
+	t := c.Thread(e.TID)
+	if e.Kind != trace.KindRelease {
+		if lv, ok := c.vars[e.Addr]; ok {
+			t.VC = t.VC.Join(lv)
+			t.dirty = true
+			c.obsJoins.Inc()
+			c.emitEdge(e)
+		}
+	}
+	if e.Kind != trace.KindAcquire {
+		c.vars[e.Addr] = c.vars[e.Addr].Join(t.VC)
+		c.obsJoins.Inc()
+		t.VC = t.VC.Tick(e.TID)
+		t.dirty = true
+		if c.lastRel != nil {
+			c.lastRel[e.Addr] = relInfo{tid: e.TID, pc: e.PC, counter: e.Counter, ts: e.TS}
+		}
+	}
+	if c.evidence {
+		t.ev.OnSync(*e)
+	}
+}
+
+// emitEdge reports the happens-before edge from the last recorded
+// release on e.Addr to the acquiring event e, if the release came from
+// a different thread. No-op unless OnEdge is set.
+func (c *ClockEngine) emitEdge(e *trace.Event) {
+	if c.lastRel == nil {
+		return
+	}
+	rel, ok := c.lastRel[e.Addr]
+	if !ok || rel.tid == e.TID {
+		return
+	}
+	c.onEdge(Edge{
+		Var:     e.Addr,
+		Counter: rel.counter,
+		TS:      rel.ts,
+		FromTID: rel.tid,
+		ToTID:   e.TID,
+		FromPC:  rel.pc,
+		ToPC:    e.PC,
+	})
+}
+
+// Access admits one memory event: it returns nil when the SamplerBit
+// filter drops the event, and otherwise counts it and returns the
+// accessing thread with MemSeq advanced to this access.
+func (c *ClockEngine) Access(e *trace.Event) *ThreadClock {
+	if c.bit >= 0 && e.Mask&(1<<uint(c.bit)) == 0 {
+		return nil
+	}
+	c.MemOps++
+	c.obsMem.Inc()
+	t := c.Thread(e.TID)
+	t.MemSeq++
+	return t
+}
+
+// Snapshot returns an immutable copy of the thread's clock. The copy is
+// taken afresh only after a sync event changed the clock (clone on
+// write), so the accesses between two sync events share one.
+func (t *ThreadClock) Snapshot() VC {
+	if t.dirty || t.pub == nil {
+		t.pub = t.VC.Clone()
+		t.dirty = false
+	}
+	return t.pub
+}
+
+// Evidence captures the forensic snapshot of an access the thread makes
+// now. Meaningful only when the engine runs with Options.Evidence.
+func (t *ThreadClock) Evidence() *AccessEvidence { return t.ev.Snapshot(t.Snapshot()) }

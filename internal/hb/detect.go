@@ -1,40 +1,16 @@
 package hb
 
 import (
-	"fmt"
-
 	"literace/internal/lir"
 	"literace/internal/obs"
 	"literace/internal/shadow"
 	"literace/internal/trace"
 )
 
-// Engine names select the memory-access analysis core backing a
-// detection pass. Both engines share the sync-clock side (vector clocks,
-// happens-before edges, evidence capture) and report byte-identical race
-// sets; the vector-clock core is the differential oracle for the epoch
-// core.
-const (
-	// EngineVC is the vector-clock detector, the default.
-	EngineVC = "vc"
-	// EngineEpoch is the epoch fast-path core in internal/shadow:
-	// O(1) same-epoch/ordered decisions over a word-granular
-	// open-addressed shadow-memory table.
-	EngineEpoch = "epoch"
-)
-
-// ValidEngine reports whether name selects a known detection engine.
-// The empty string selects EngineVC.
-func ValidEngine(name string) bool {
-	return name == "" || name == EngineVC || name == EngineEpoch
-}
-
-func checkEngine(name string) error {
-	if !ValidEngine(name) {
-		return fmt.Errorf("unknown detection engine %q (valid: %s, %s)", name, EngineVC, EngineEpoch)
-	}
-	return nil
-}
+// EngineEpoch names the epoch fast-path core (internal/shadow), the
+// only detection core. It is kept, with Options.Engine, for callers that
+// still name it; neither selects anything.
+const EngineEpoch = "epoch"
 
 // DynamicRace is one detected conflicting access pair: the earlier access
 // (in the replayed order) is Prev, the later one is Cur, and neither
@@ -131,22 +107,14 @@ type Options struct {
 	// hb.near_miss.* obs family). 0 (the default) disables.
 	NearMissMargin int
 
-	// Engine selects the memory-access analysis core: EngineVC (also
-	// the empty string) or EngineEpoch. Detect and DetectDegraded
-	// reject unknown names; NewDetector treats any non-epoch value as
-	// the vector-clock core.
+	// Engine is ignored: the epoch core is the only detection core.
 	Engine string
 
-	// ShadowMaxCells bounds the epoch engine's shadow-memory table
-	// (see shadow.Options.MaxCells); 0 means unbounded. Only the
-	// unbounded default preserves exact parity with the vector-clock
-	// oracle — a bounded table may miss races, never invent them.
+	// ShadowMaxCells bounds the shadow-memory table (see
+	// shadow.Options.MaxCells); 0 means unbounded. Only the unbounded
+	// default preserves exact parity with the reference detector — a
+	// bounded table may miss races, never invent them.
 	ShadowMaxCells int
-
-	// ShadowDepot, when non-nil, is the stack depot the epoch engine
-	// interns race identities into; share one to deduplicate across
-	// detectors. Ignored by the vector-clock engine.
-	ShadowDepot *shadow.Depot
 }
 
 // AllEvents is the SamplerBit value that disables mask filtering.
@@ -170,9 +138,7 @@ type Result struct {
 	// when near-miss analytics were off.
 	NearMisses []NearMiss
 
-	// Epoch carries the epoch engine's core statistics when the pass
-	// ran under Options.Engine == EngineEpoch; nil under the
-	// vector-clock engine.
+	// Epoch carries the epoch engine's core statistics.
 	Epoch *shadow.Stats
 }
 
@@ -187,124 +153,56 @@ type Detector struct {
 	opts     Options
 	res      Result
 	degraded bool
-	threads  map[int32]*threadState
-	vars     map[uint64]VC         // SyncVar -> clock published by last release
-	mem      map[uint64]*addrState // address -> access history
-	lastRel  map[uint64]relInfo    // SyncVar -> last release, only when OnEdge is set
-	near     *NearAccum            // near-miss accumulator; nil when disabled
+	clk      *ClockEngine
+	eng      *shadow.Engine
+	near     *NearAccum // near-miss accumulator; nil when disabled
 
-	// Epoch-engine state (Options.Engine == EngineEpoch): eng replaces
-	// the mem map as the access-history store, and tcache is a
-	// tid-indexed shortcut past the threads map on the access hot path.
-	eng    *shadow.Engine
-	tcache []*threadState
-
-	// Telemetry instruments; nil (no-op) when opts.Obs is nil.
-	obsJoins *obs.Counter // hb.vc_joins
-	obsRaces *obs.Counter // hb.dynamic_races
-	obsMem   *obs.Counter // hb.mem_events
-	obsSync  *obs.Counter // hb.sync_events
-}
-
-type threadState struct {
-	vc VC
-	// memSeq counts this thread's analyzed memory events (1-based after
-	// the first access); see DynamicRace.PrevSeq.
-	memSeq uint64
-
-	// Evidence-mode state (maintained only when Options.Evidence): pub is
-	// the immutable clock snapshot accesses share until the next sync
-	// event dirties it — the same clone-on-write discipline the streaming
-	// clock engine uses, so captured clocks are byte-identical.
-	pub   VC
-	dirty bool
-	ev    EvidenceState
-}
-
-// relInfo remembers the last release on a sync var so a later acquire
-// can be reported as a happens-before edge.
-type relInfo struct {
-	tid     int32
-	pc      lir.PC
-	counter uint8
-	ts      uint64
-}
-
-type readInfo struct {
-	epoch
-	pc  lir.PC
-	seq uint64          // per-thread analyzed-memory ordinal of the read
-	ev  *AccessEvidence // forensic snapshot; nil unless Options.Evidence
-}
-
-type addrState struct {
-	hasWrite bool
-	write    epoch
-	writePC  lir.PC
-	writeSeq uint64          // per-thread analyzed-memory ordinal of the write
-	writeEv  *AccessEvidence // forensic snapshot; nil unless Options.Evidence
-	reads    []readInfo      // reads since the last ordered write
+	obsRaces *obs.Counter // hb.dynamic_races; nil-safe
 }
 
 // NewDetector returns a detector with the given options.
 func NewDetector(opts Options) *Detector {
 	d := &Detector{
-		opts:    opts,
-		threads: make(map[int32]*threadState),
-		vars:    make(map[uint64]VC),
-		mem:     make(map[uint64]*addrState),
+		opts: opts,
+		clk:  NewClockEngine(opts),
+		near: NewNearAccum(opts.NearMissMargin),
 	}
-	if opts.OnEdge != nil {
-		d.lastRel = make(map[uint64]relInfo)
-	}
-	d.near = NewNearAccum(opts.NearMissMargin)
 	if opts.Obs != nil {
-		d.obsJoins = opts.Obs.Counter("hb.vc_joins")
 		d.obsRaces = opts.Obs.Counter("hb.dynamic_races")
-		d.obsMem = opts.Obs.Counter("hb.mem_events")
-		d.obsSync = opts.Obs.Counter("hb.sync_events")
 	}
-	if opts.Engine == EngineEpoch {
-		so := shadow.Options{
-			MaxCells: opts.ShadowMaxCells,
-			Depot:    opts.ShadowDepot,
-			Obs:      opts.Obs,
-			OnRace: func(prev shadow.Prev, cur *shadow.Access, _ int) {
-				r := DynamicRace{
-					PrevPC: prev.PC, CurPC: cur.PC,
-					PrevWrite: prev.Write, CurWrite: cur.Write,
-					PrevTID: prev.TID, CurTID: cur.TID,
-					PrevSeq: prev.Seq, CurSeq: cur.Seq,
-					Addr: cur.Addr,
-				}
-				if prev.Ev != nil {
-					r.PrevEvidence = prev.Ev.(*AccessEvidence)
-				}
-				if cur.Ev != nil {
-					r.CurEvidence = cur.Ev.(*AccessEvidence)
-				}
-				d.report(r)
-			},
-		}
-		if opts.NearMissMargin > 0 {
-			so.OnOrdered = func(prevPC, curPC lir.PC, margin uint64) {
-				d.near.Note(prevPC, curPC, margin)
-			}
-		}
-		d.eng = shadow.NewEngine(so)
-	}
+	d.eng = NewAccessEngine(opts.ShadowMaxCells, opts.Obs, d.near, func(r DynamicRace, _ int) { d.report(r) })
 	return d
 }
 
-func (d *Detector) thread(tid int32) *threadState {
-	ts := d.threads[tid]
-	if ts == nil {
-		// A fresh thread starts at clock 1 so its epoch (tid, 1) is not
-		// vacuously happens-before everything.
-		ts = &threadState{vc: VC{}.Set(tid, 1)}
-		d.threads[tid] = ts
+// NewAccessEngine returns the shadow engine that analyzes one stream of
+// sampled accesses, turning its race callbacks into DynamicRaces for
+// report (sub is the race's index among those one access produced) and
+// its ordered conflicting pairs into near-miss notes (near may be nil).
+func NewAccessEngine(maxCells int, reg *obs.Registry, near *NearAccum, report func(r DynamicRace, sub int)) *shadow.Engine {
+	so := shadow.Options{
+		MaxCells: maxCells,
+		Obs:      reg,
+		OnRace: func(prev shadow.Prev, cur *shadow.Access, sub int) {
+			r := DynamicRace{
+				PrevPC: prev.PC, CurPC: cur.PC,
+				PrevWrite: prev.Write, CurWrite: cur.Write,
+				PrevTID: prev.TID, CurTID: cur.TID,
+				PrevSeq: prev.Seq, CurSeq: cur.Seq,
+				Addr: cur.Addr,
+			}
+			if prev.Ev != nil {
+				r.PrevEvidence = prev.Ev.(*AccessEvidence)
+			}
+			if cur.Ev != nil {
+				r.CurEvidence = cur.Ev.(*AccessEvidence)
+			}
+			report(r, sub)
+		},
 	}
-	return ts
+	if near != nil {
+		so.OnOrdered = near.Note
+	}
+	return shadow.NewEngine(so)
 }
 
 // Process consumes one event.
@@ -313,7 +211,7 @@ func (d *Detector) Process(e trace.Event) { d.process(&e) }
 // ProcessBatch consumes a pre-materialized event sequence in order. It
 // is equivalent to calling Process per element, minus one 48-byte
 // event copy per call — at tens of millions of events per second the
-// copies are a measurable tax on either engine.
+// copies are a measurable tax.
 func (d *Detector) ProcessBatch(events []trace.Event) {
 	for i := range events {
 		d.process(&events[i])
@@ -323,247 +221,25 @@ func (d *Detector) ProcessBatch(events []trace.Event) {
 // process never retains e past the call.
 func (d *Detector) process(e *trace.Event) {
 	switch e.Kind {
-	case trace.KindAcquire:
-		d.res.SyncOps++
-		d.obsSync.Inc()
-		t := d.thread(e.TID)
-		if lv, ok := d.vars[e.Addr]; ok {
-			t.vc = t.vc.Join(lv)
-			d.obsJoins.Inc()
-			d.emitEdge(*e)
-		}
-		d.noteSync(t, *e)
-	case trace.KindRelease:
-		d.res.SyncOps++
-		d.obsSync.Inc()
-		t := d.thread(e.TID)
-		d.vars[e.Addr] = d.vars[e.Addr].Join(t.vc)
-		d.obsJoins.Inc()
-		t.vc = t.vc.Tick(e.TID)
-		d.recordRelease(*e)
-		d.noteSync(t, *e)
-	case trace.KindAcqRel:
-		d.res.SyncOps++
-		d.obsSync.Inc()
-		t := d.thread(e.TID)
-		if lv, ok := d.vars[e.Addr]; ok {
-			t.vc = t.vc.Join(lv)
-			d.obsJoins.Inc()
-			d.emitEdge(*e)
-		}
-		d.vars[e.Addr] = d.vars[e.Addr].Join(t.vc)
-		d.obsJoins.Inc()
-		t.vc = t.vc.Tick(e.TID)
-		d.recordRelease(*e)
-		d.noteSync(t, *e)
+	case trace.KindAcquire, trace.KindRelease, trace.KindAcqRel:
+		d.clk.Sync(e)
 	case trace.KindRead, trace.KindWrite:
-		if d.opts.SamplerBit >= 0 && e.Mask&(1<<uint(d.opts.SamplerBit)) == 0 {
-			return
-		}
-		d.res.MemOps++
-		d.obsMem.Inc()
-		if d.eng != nil {
-			// Dispatch straight into the epoch core: no event copy
-			// through d.access, no intermediate frame. Plain runs hop
-			// Process -> engine in one register call. The thread-cache
-			// hit is open-coded: threadFast just misses the inlining
-			// budget, and a call here costs more than the lookup.
-			var t *threadState
-			if int(e.TID) < len(d.tcache) {
-				t = d.tcache[e.TID]
-			}
-			if t == nil {
-				t = d.threadSlow(e.TID)
-			}
-			t.memSeq++
-			switch {
-			case d.opts.Evidence:
-				d.accessEpochEv(t, e.Addr, e.TID, e.PC, e.Kind == trace.KindWrite)
-			case e.Kind == trace.KindWrite:
-				d.eng.Write(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
-			default:
-				d.eng.Read(e.Addr, t.memSeq, e.TID, e.PC, t.vc)
-			}
-			return
-		}
-		d.access(e)
-	}
-}
-
-// recordRelease remembers e as the latest release on its sync var so a
-// later acquire can be reported as an edge. No-op unless OnEdge is set.
-func (d *Detector) recordRelease(e trace.Event) {
-	if d.lastRel == nil {
-		return
-	}
-	d.lastRel[e.Addr] = relInfo{tid: e.TID, pc: e.PC, counter: e.Counter, ts: e.TS}
-}
-
-// emitEdge reports the happens-before edge from the last recorded
-// release on e.Addr to the acquiring event e, if the release came from
-// a different thread.
-func (d *Detector) emitEdge(e trace.Event) {
-	if d.lastRel == nil {
-		return
-	}
-	rel, ok := d.lastRel[e.Addr]
-	if !ok || rel.tid == e.TID {
-		return
-	}
-	d.opts.OnEdge(Edge{
-		Var:     e.Addr,
-		Counter: rel.counter,
-		TS:      rel.ts,
-		FromTID: rel.tid,
-		ToTID:   e.TID,
-		FromPC:  rel.pc,
-		ToPC:    e.PC,
-	})
-}
-
-// noteSync folds a synchronization event into the thread's evidence
-// state; no-op unless Options.Evidence. Any sync event invalidates the
-// published clock snapshot (clone-on-write at the next access).
-func (d *Detector) noteSync(t *threadState, e trace.Event) {
-	if !d.opts.Evidence {
-		return
-	}
-	t.dirty = true
-	t.ev.OnSync(e)
-}
-
-// threadFast is d.thread with a tid-indexed cache in front of the map —
-// the epoch core's access hot path resolves the thread in O(1). The
-// cache-hit check is small enough to inline at the call site; misses
-// fall through to threadSlow.
-func (d *Detector) threadFast(tid int32) *threadState {
-	if int(tid) < len(d.tcache) {
-		if ts := d.tcache[tid]; ts != nil {
-			return ts
-		}
-	}
-	return d.threadSlow(tid)
-}
-
-func (d *Detector) threadSlow(tid int32) *threadState {
-	ts := d.thread(tid)
-	for int(tid) >= len(d.tcache) {
-		d.tcache = append(d.tcache, nil)
-	}
-	d.tcache[tid] = ts
-	return ts
-}
-
-// accessEpoch routes one sampled access through the epoch fast-path
-// core. The sync-clock and evidence side is exactly the vector-clock
-// path's; only the per-address history analysis differs. Scalar
-// arguments keep the hop into the engine in registers.
-func (d *Detector) accessEpoch(addr uint64, tid int32, pc lir.PC, isWrite bool) {
-	t := d.threadFast(tid)
-	t.memSeq++
-	if d.opts.Evidence {
-		d.accessEpochEv(t, addr, tid, pc, isWrite)
-		return
-	}
-	if isWrite {
-		d.eng.Write(addr, t.memSeq, tid, pc, t.vc)
-	} else {
-		d.eng.Read(addr, t.memSeq, tid, pc, t.vc)
-	}
-}
-
-// accessEpochEv is the evidence-mode tail of accessEpoch, kept out of
-// line so plain runs never pay for the snapshot plumbing.
-func (d *Detector) accessEpochEv(t *threadState, addr uint64, tid int32, pc lir.PC, isWrite bool) {
-	if t.dirty || t.pub == nil {
-		t.pub = t.vc.Clone()
-		t.dirty = false
-	}
-	var evAny any
-	if ev := t.ev.Snapshot(t.pub); ev != nil {
-		evAny = ev
-	}
-	if isWrite {
-		d.eng.WriteEv(addr, t.memSeq, tid, pc, t.vc, evAny)
-	} else {
-		d.eng.ReadEv(addr, t.memSeq, tid, pc, t.vc, evAny)
-	}
-}
-
-func (d *Detector) access(e *trace.Event) {
-	if d.eng != nil {
-		d.accessEpoch(e.Addr, e.TID, e.PC, e.Kind == trace.KindWrite)
-		return
-	}
-	t := d.thread(e.TID)
-	t.memSeq++
-	st := d.mem[e.Addr]
-	if st == nil {
-		st = &addrState{}
-		d.mem[e.Addr] = st
-	}
-	now := epoch{tid: e.TID, clk: t.vc.At(e.TID)}
-	isWrite := e.Kind == trace.KindWrite
-	var ev *AccessEvidence
-	if d.opts.Evidence {
-		if t.dirty || t.pub == nil {
-			t.pub = t.vc.Clone()
-			t.dirty = false
-		}
-		ev = t.ev.Snapshot(t.pub)
-	}
-
-	if st.hasWrite && st.write.tid != e.TID {
-		if !st.write.happensBefore(t.vc) {
-			d.report(DynamicRace{
-				PrevPC: st.writePC, CurPC: e.PC,
-				PrevWrite: true, CurWrite: isWrite,
-				PrevTID: st.write.tid, CurTID: e.TID,
-				PrevSeq: st.writeSeq, CurSeq: t.memSeq,
-				Addr:         e.Addr,
-				PrevEvidence: st.writeEv, CurEvidence: ev,
+		t := d.clk.Access(e)
+		switch {
+		case t == nil:
+		case d.opts.Evidence:
+			d.eng.Access(&shadow.Access{
+				Addr: e.Addr, Seq: t.MemSeq, TID: e.TID, Write: e.Kind == trace.KindWrite,
+				PC: e.PC, VC: t.VC, Ev: t.Evidence(),
 			})
-		} else {
-			d.near.Note(st.writePC, e.PC, t.vc.At(st.write.tid)-st.write.clk)
+		case e.Kind == trace.KindWrite:
+			// Plain runs hand the engine the live clock: it only reads
+			// it during the call.
+			d.eng.Write(e.Addr, t.MemSeq, e.TID, e.PC, t.VC)
+		default:
+			d.eng.Read(e.Addr, t.MemSeq, e.TID, e.PC, t.VC)
 		}
 	}
-
-	if isWrite {
-		for _, r := range st.reads {
-			if r.tid == e.TID {
-				continue
-			}
-			if !r.happensBefore(t.vc) {
-				d.report(DynamicRace{
-					PrevPC: r.pc, CurPC: e.PC,
-					PrevWrite: false, CurWrite: true,
-					PrevTID: r.tid, CurTID: e.TID,
-					PrevSeq: r.seq, CurSeq: t.memSeq,
-					Addr:         e.Addr,
-					PrevEvidence: r.ev, CurEvidence: ev,
-				})
-			} else {
-				d.near.Note(r.pc, e.PC, t.vc.At(r.tid)-r.clk)
-			}
-		}
-		st.hasWrite = true
-		st.write = now
-		st.writePC = e.PC
-		st.writeSeq = t.memSeq
-		st.writeEv = ev
-		st.reads = st.reads[:0]
-		return
-	}
-
-	// Record the read, replacing any earlier read by the same thread
-	// (program order makes the newer one dominate).
-	for i := range st.reads {
-		if st.reads[i].tid == e.TID {
-			st.reads[i] = readInfo{epoch: now, pc: e.PC, seq: t.memSeq, ev: ev}
-			return
-		}
-	}
-	st.reads = append(st.reads, readInfo{epoch: now, pc: e.PC, seq: t.memSeq, ev: ev})
 }
 
 // MarkDegraded switches the detector into degraded mode: every race
@@ -591,43 +267,33 @@ func (d *Detector) report(r DynamicRace) {
 
 // Result returns the accumulated detection result.
 func (d *Detector) Result() *Result {
+	d.res.MemOps, d.res.SyncOps = d.clk.MemOps, d.clk.SyncOps
 	d.res.NearMisses = d.near.Rows()
-	if d.eng != nil {
-		s := d.eng.Stats()
-		d.res.Epoch = &s
-	}
+	s := d.eng.Stats()
+	d.res.Epoch = &s
 	return &d.res
 }
 
-// Shadow returns the epoch engine backing this detector, or nil under
-// the vector-clock engine.
-func (d *Detector) Shadow() *shadow.Engine { return d.eng }
-
-// publishEpochStats publishes the epoch engine's end-of-pass gauges
-// (shadow.cells, shadow.depot_stacks) into Options.Obs; the counters
-// (epoch.fastpath_hits, epoch.promotions, shadow.evictions) stream
-// live during the pass.
-func (d *Detector) publishEpochStats() {
-	if d.eng == nil || d.opts.Obs == nil {
-		return
-	}
-	s := d.eng.Stats()
-	d.opts.Obs.Gauge("shadow.cells").Set(float64(s.Cells))
-	d.opts.Obs.Gauge("shadow.depot_stacks").Set(float64(s.DepotStacks))
+// publish publishes the end-of-pass telemetry into Options.Obs: the
+// near-miss rows and the shadow.cells gauge (the engine's counters
+// stream live during the pass). Detect and DetectDegraded call it once
+// the pass is over.
+func (d *Detector) publish() {
+	res := d.Result()
+	PublishNearMisses(d.opts.Obs, res.NearMisses)
+	PublishShadowCells(d.opts.Obs, res.Epoch)
 }
 
-// PublishNearMisses publishes the accumulated near-miss telemetry into
-// Options.Obs. Call it once, after the pass is over; Detect and
-// DetectDegraded do so themselves.
-func (d *Detector) PublishNearMisses() {
-	PublishNearMisses(d.opts.Obs, d.near.Rows())
+// PublishShadowCells sets the shadow.cells gauge of reg (nil-safe) to
+// the live cells in s.
+func PublishShadowCells(reg *obs.Registry, s *shadow.Stats) {
+	if reg != nil {
+		reg.Gauge("shadow.cells").Set(float64(s.Cells))
+	}
 }
 
 // Detect replays log and runs happens-before detection over it.
 func Detect(log *trace.Log, opts Options) (*Result, error) {
-	if err := checkEngine(opts.Engine); err != nil {
-		return nil, err
-	}
 	d := NewDetector(opts)
 	if err := ReplayObs(log, opts.Obs, func(e trace.Event) error {
 		d.Process(e)
@@ -635,8 +301,7 @@ func Detect(log *trace.Log, opts Options) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	d.PublishNearMisses()
-	d.publishEpochStats()
+	d.publish()
 	return d.Result(), nil
 }
 
@@ -645,9 +310,6 @@ func Detect(log *trace.Log, opts Options) (*Result, error) {
 // replay weakened an ordering are tagged unconfirmed; the confirmed
 // subset keeps the no-false-positive guarantee.
 func DetectDegraded(log *trace.Log, opts Options) (*Result, *Degradation, error) {
-	if err := checkEngine(opts.Engine); err != nil {
-		return nil, nil, err
-	}
 	d := NewDetector(opts)
 	deg, err := ReplayDegraded(log, opts.Obs, d.MarkDegraded, func(e trace.Event) error {
 		d.Process(e)
@@ -656,7 +318,6 @@ func DetectDegraded(log *trace.Log, opts Options) (*Result, *Degradation, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	d.PublishNearMisses()
-	d.publishEpochStats()
+	d.publish()
 	return d.Result(), deg, nil
 }

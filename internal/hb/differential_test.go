@@ -1,7 +1,9 @@
 package hb
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"literace/internal/trace"
@@ -76,34 +78,70 @@ func randomLog(seed int64) *trace.Log {
 	return b.log()
 }
 
-// TestDifferentialDetectors cross-checks the optimized epoch-based
-// detector against the full-vector-clock reference on random logs: both
-// must report exactly the same dynamic races.
+// detectBoth runs log through the production detector and the
+// reference detector under identical options.
+func detectBoth(t testing.TB, log *trace.Log, opts Options) (got, want *Result) {
+	t.Helper()
+	got, err := Detect(log, opts)
+	if err != nil {
+		t.Fatalf("detect: %v", err)
+	}
+	want, err = DetectReference(log, opts)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return got, want
+}
+
+// assertSameResult demands that the production detector report exactly
+// what the reference reports: the whole Result — race order, Seq
+// ordinals, unconfirmed tags, evidence, near-miss rows and counters —
+// under reflect.DeepEqual. Only the epoch core's own statistics, which
+// the reference has no counterpart for, are checked separately.
+func assertSameResult(t testing.TB, name string, got, want *Result) {
+	t.Helper()
+	if got.Epoch == nil || got.Epoch.Accesses != got.MemOps {
+		t.Fatalf("%s: engine statistics %+v do not account for %d analyzed accesses", name, got.Epoch, got.MemOps)
+	}
+	g := *got
+	g.Epoch = nil
+	if reflect.DeepEqual(&g, want) {
+		return
+	}
+	for i := 0; i < len(g.Races) && i < len(want.Races); i++ {
+		if !reflect.DeepEqual(g.Races[i], want.Races[i]) {
+			t.Fatalf("%s: race %d diverges:\n  detector:  %+v\n  reference: %+v", name, i, g.Races[i], want.Races[i])
+		}
+	}
+	g.Races, g.NearMisses = nil, nil
+	t.Fatalf("%s: results diverge:\n  detector:  %+v (%d races, near misses %+v)\n  reference: %+v (%d races, near misses %+v)",
+		name, g, len(got.Races), got.NearMisses, *want, len(want.Races), want.NearMisses)
+}
+
+// TestDifferentialDetectors cross-checks the epoch-based detector
+// against the full-vector-clock reference on random logs.
 func TestDifferentialDetectors(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
+		got, want := detectBoth(t, randomLog(seed), Options{SamplerBit: AllEvents})
+		assertSameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+	}
+}
+
+// TestEpochMatchesVCRandom holds the epoch core, selected through the
+// documented no-op Options.Engine, to the full-vector-clock reference
+// on random logs, and checks the selector changes nothing.
+func TestEpochMatchesVCRandom(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
 		log := randomLog(seed)
-		fast, err := Detect(log, Options{SamplerBit: AllEvents})
+		name := fmt.Sprintf("seed %d", seed)
+		got, want := detectBoth(t, log, Options{SamplerBit: AllEvents, Engine: EngineEpoch})
+		assertSameResult(t, name, got, want)
+		plain, err := Detect(log, Options{SamplerBit: AllEvents})
 		if err != nil {
-			t.Fatalf("seed %d fast: %v", seed, err)
+			t.Fatal(err)
 		}
-		ref, err := DetectReference(log, Options{SamplerBit: AllEvents})
-		if err != nil {
-			t.Fatalf("seed %d ref: %v", seed, err)
-		}
-		if fast.NumRaces != ref.NumRaces {
-			t.Errorf("seed %d: fast %d races, reference %d", seed, fast.NumRaces, ref.NumRaces)
-		}
-		fs, rs := staticSet(fast.Races), staticSet(ref.Races)
-		if len(fs) != len(rs) {
-			t.Fatalf("seed %d: static sets differ: %d vs %d", seed, len(fs), len(rs))
-		}
-		for k, n := range fs {
-			if rs[k] != n {
-				t.Fatalf("seed %d: key %+v count %d vs %d", seed, k, n, rs[k])
-			}
-		}
-		if fast.MemOps != ref.MemOps || fast.SyncOps != ref.SyncOps {
-			t.Errorf("seed %d: op counts differ", seed)
+		if !reflect.DeepEqual(plain, got) {
+			t.Fatalf("%s: Options.Engine changed the result", name)
 		}
 	}
 }
@@ -123,19 +161,135 @@ func TestDifferentialWithMaskFiltering(t *testing.T) {
 			}
 		}
 		for bit := 0; bit < 2; bit++ {
-			fast, err := Detect(log, Options{SamplerBit: bit})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := DetectReference(log, Options{SamplerBit: bit})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.NumRaces != ref.NumRaces {
-				t.Errorf("seed %d bit %d: %d vs %d races", seed, bit, fast.NumRaces, ref.NumRaces)
-			}
+			got, want := detectBoth(t, log, Options{SamplerBit: bit, NearMissMargin: DefaultNearMissMargin})
+			assertSameResult(t, fmt.Sprintf("seed %d bit %d", seed, bit), got, want)
 		}
 	}
+}
+
+// TestEpochMatchesVCWithEvidenceAndNearMisses holds the epoch core to
+// the full-vector-clock reference with evidence capture and near-miss
+// analytics on.
+func TestEpochMatchesVCWithEvidenceAndNearMisses(t *testing.T) {
+	var sawEvidence, sawNearMiss bool
+	for seed := int64(0); seed < 60; seed++ {
+		got, want := detectBoth(t, randomLog(seed), Options{
+			SamplerBit:     AllEvents,
+			Evidence:       true,
+			NearMissMargin: DefaultNearMissMargin,
+		})
+		assertSameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+		sawEvidence = sawEvidence || len(got.Races) > 0 && got.Races[0].PrevEvidence != nil
+		sawNearMiss = sawNearMiss || len(got.NearMisses) > 0
+	}
+	if !sawEvidence || !sawNearMiss {
+		t.Fatalf("vacuous: evidence seen %v, near misses seen %v", sawEvidence, sawNearMiss)
+	}
+}
+
+func TestEpochMatchesVCDegraded(t *testing.T) {
+	// Degrade both detectors at the same replay midpoint: unconfirmed
+	// tagging must line up exactly.
+	var sawUnconfirmed bool
+	for seed := int64(0); seed < 40; seed++ {
+		log := randomLog(seed)
+		total := 0
+		if err := Replay(log, func(trace.Event) error {
+			total++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{SamplerBit: AllEvents, Evidence: true, NearMissMargin: DefaultNearMissMargin}
+		run := func(process func(trace.Event), markDegraded func()) {
+			n := 0
+			if err := Replay(log, func(e trace.Event) error {
+				if n == total/2 {
+					markDegraded()
+				}
+				n++
+				process(e)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, ref := NewDetector(opts), NewReferenceDetector(opts)
+		run(d.Process, d.MarkDegraded)
+		run(ref.Process, ref.MarkDegraded)
+		assertSameResult(t, fmt.Sprintf("seed %d", seed), d.Result(), ref.Result())
+		if ref.Result().Unconfirmed > 0 {
+			sawUnconfirmed = true
+		}
+	}
+	if !sawUnconfirmed {
+		t.Fatal("no seed produced an unconfirmed race; the test is vacuous")
+	}
+}
+
+// boundedNeverInvents checks a bounded-table detector against the
+// reference: its static race multiset must be contained in the
+// reference's.
+func boundedNeverInvents(t testing.TB, name string, bounded, want *Result) {
+	t.Helper()
+	ws := staticSet(want.Races)
+	for k, n := range staticSet(bounded.Races) {
+		if n > ws[k] {
+			t.Fatalf("%s: bounded table reported %v %d times, reference %d — false positive", name, k, n, ws[k])
+		}
+	}
+}
+
+func TestEpochBoundedTableNeverInventsRaces(t *testing.T) {
+	// A bounded shadow table loses history on eviction. That may hide
+	// races (false negatives, like sampling) but must never invent one.
+	var sawEviction, sawMiss bool
+	for seed := int64(0); seed < 60; seed++ {
+		log := randomLog(seed)
+		want, err := DetectReference(log, Options{SamplerBit: AllEvents})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Detect(log, Options{SamplerBit: AllEvents, ShadowMaxCells: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawEviction = sawEviction || got.Epoch.Evictions > 0
+		sawMiss = sawMiss || got.NumRaces < want.NumRaces
+		boundedNeverInvents(t, fmt.Sprintf("seed %d", seed), got, want)
+	}
+	if !sawEviction {
+		t.Fatal("no seed triggered an eviction; the bound is not exercised")
+	}
+	if !sawMiss {
+		t.Log("note: evictions never cost a race on these seeds")
+	}
+}
+
+// FuzzDetectorParity replays random seeded traces through the
+// production detector and the reference and asserts identical Results,
+// with and without evidence capture, plus the no-false-positive
+// containment property for bounded shadow tables.
+func FuzzDetectorParity(f *testing.F) {
+	f.Add(int64(1), uint16(0), false)
+	f.Add(int64(42), uint16(0), true)
+	f.Add(int64(7), uint16(3), true)
+	f.Add(int64(1234567), uint16(16), false)
+	f.Fuzz(func(t *testing.T, seed int64, maxCells uint16, evidence bool) {
+		log := randomLog(seed)
+		opts := Options{SamplerBit: AllEvents, Evidence: evidence, NearMissMargin: DefaultNearMissMargin}
+		got, want := detectBoth(t, log, opts)
+		name := fmt.Sprintf("seed %d", seed)
+		assertSameResult(t, name, got, want)
+		if maxCells > 0 {
+			opts.ShadowMaxCells = int(maxCells)
+			bounded, err := Detect(log, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boundedNeverInvents(t, fmt.Sprintf("%s maxCells %d", name, maxCells), bounded, want)
+		}
+	})
 }
 
 // TestReferenceOnPaperExamples sanity-checks the reference detector on the

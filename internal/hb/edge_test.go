@@ -67,7 +67,7 @@ func TestOnEdgeAcqRel(t *testing.T) {
 // when OnEdge is unset.
 func TestOnEdgeNilIsFree(t *testing.T) {
 	d := NewDetector(Options{SamplerBit: AllEvents})
-	if d.lastRel != nil {
+	if d.clk.lastRel != nil {
 		t.Error("lastRel allocated without OnEdge")
 	}
 }

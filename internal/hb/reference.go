@@ -5,20 +5,30 @@ import (
 	"literace/internal/trace"
 )
 
-// ReferenceDetector is a deliberately simple happens-before detector used
-// to cross-check the optimized Detector: it keeps, per address, the full
+// ReferenceDetector is a deliberately simple happens-before detector,
+// the differential oracle for Detector: it keeps, per address, the full
 // list of unsubsumed accesses with complete vector-clock snapshots, and
 // compares every new access against all of them. This is the textbook
 // O(threads) per-access formulation the paper's §2.2 calls out as the
-// metadata cost problem; Detector gets the same answers with FastTrack-
-// style epochs. Differential tests assert both report identical static
-// race sets on arbitrary inputs.
+// metadata cost problem; Detector gets the same answers with
+// FastTrack-style epochs. It reports everything Detector reports — the
+// same races in the same order with the same Seq ordinals, unconfirmed
+// tags, evidence and near-miss rows — so differential tests compare
+// whole Results.
 type ReferenceDetector struct {
-	opts    Options
-	res     Result
-	threads map[int32]VC
-	vars    map[uint64]VC
-	mem     map[uint64]*refAddrState
+	opts     Options
+	res      Result
+	degraded bool
+	threads  map[int32]*refThread
+	vars     map[uint64]VC
+	mem      map[uint64][]refAccess
+	near     *NearAccum
+}
+
+type refThread struct {
+	vc     VC
+	memSeq uint64
+	ev     EvidenceState
 }
 
 type refAccess struct {
@@ -26,54 +36,46 @@ type refAccess struct {
 	vc    VC // full snapshot at access time
 	pc    lir.PC
 	write bool
-}
-
-type refAddrState struct {
-	accesses []refAccess
+	seq   uint64
+	ev    *AccessEvidence
 }
 
 // NewReferenceDetector returns the reference implementation.
 func NewReferenceDetector(opts Options) *ReferenceDetector {
 	return &ReferenceDetector{
 		opts:    opts,
-		threads: make(map[int32]VC),
+		threads: make(map[int32]*refThread),
 		vars:    make(map[uint64]VC),
-		mem:     make(map[uint64]*refAddrState),
+		mem:     make(map[uint64][]refAccess),
+		near:    NewNearAccum(opts.NearMissMargin),
 	}
 }
 
-func (d *ReferenceDetector) thread(tid int32) VC {
-	vc, ok := d.threads[tid]
+func (d *ReferenceDetector) thread(tid int32) *refThread {
+	t, ok := d.threads[tid]
 	if !ok {
-		vc = VC{}.Set(tid, 1)
-		d.threads[tid] = vc
+		t = &refThread{vc: VC{}.Set(tid, 1)}
+		d.threads[tid] = t
 	}
-	return vc
+	return t
 }
 
 // Process consumes one event in replay order.
 func (d *ReferenceDetector) Process(e trace.Event) {
 	switch e.Kind {
-	case trace.KindAcquire:
+	case trace.KindAcquire, trace.KindRelease, trace.KindAcqRel:
 		d.res.SyncOps++
-		vc := d.thread(e.TID)
-		if lv, ok := d.vars[e.Addr]; ok {
-			vc = vc.Join(lv)
+		t := d.thread(e.TID)
+		if lv, ok := d.vars[e.Addr]; ok && e.Kind != trace.KindRelease {
+			t.vc = t.vc.Join(lv)
 		}
-		d.threads[e.TID] = vc
-	case trace.KindRelease:
-		d.res.SyncOps++
-		vc := d.thread(e.TID)
-		d.vars[e.Addr] = d.vars[e.Addr].Join(vc)
-		d.threads[e.TID] = vc.Tick(e.TID)
-	case trace.KindAcqRel:
-		d.res.SyncOps++
-		vc := d.thread(e.TID)
-		if lv, ok := d.vars[e.Addr]; ok {
-			vc = vc.Join(lv)
+		if e.Kind != trace.KindAcquire {
+			d.vars[e.Addr] = d.vars[e.Addr].Join(t.vc)
+			t.vc = t.vc.Tick(e.TID)
 		}
-		d.vars[e.Addr] = d.vars[e.Addr].Join(vc)
-		d.threads[e.TID] = vc.Tick(e.TID)
+		if d.opts.Evidence {
+			t.ev.OnSync(e)
+		}
 	case trace.KindRead, trace.KindWrite:
 		if d.opts.SamplerBit >= 0 && e.Mask&(1<<uint(d.opts.SamplerBit)) == 0 {
 			return
@@ -84,61 +86,77 @@ func (d *ReferenceDetector) Process(e trace.Event) {
 }
 
 func (d *ReferenceDetector) access(e trace.Event) {
-	vc := d.thread(e.TID)
-	st := d.mem[e.Addr]
-	if st == nil {
-		st = &refAddrState{}
-		d.mem[e.Addr] = st
+	t := d.thread(e.TID)
+	t.memSeq++
+	acc := refAccess{tid: e.TID, vc: t.vc.Clone(), pc: e.PC, write: e.Kind == trace.KindWrite, seq: t.memSeq}
+	if d.opts.Evidence {
+		acc.ev = t.ev.Snapshot(acc.vc)
 	}
-	isWrite := e.Kind == trace.KindWrite
 
-	// Compare against every retained access; report conflicts that are
-	// not happens-before ordered.
-	for _, a := range st.accesses {
-		if a.tid == e.TID || (!a.write && !isWrite) {
+	// Compare against every retained access, in retention order; report
+	// the conflicts not happens-before ordered, note the ordered ones.
+	accs := d.mem[e.Addr]
+	for _, a := range accs {
+		if a.tid == e.TID || (!a.write && !acc.write) {
 			continue
 		}
-		if a.vc.At(a.tid) <= vc.At(a.tid) {
-			continue // a happens-before the current access
+		if a.vc.At(a.tid) <= t.vc.At(a.tid) {
+			d.near.Note(a.pc, e.PC, t.vc.At(a.tid)-a.vc.At(a.tid))
+			continue
 		}
-		r := DynamicRace{
+		d.report(DynamicRace{
 			PrevPC: a.pc, CurPC: e.PC,
-			PrevWrite: a.write, CurWrite: isWrite,
+			PrevWrite: a.write, CurWrite: acc.write,
 			PrevTID: a.tid, CurTID: e.TID,
-			Addr: e.Addr,
-		}
-		d.res.NumRaces++
-		if d.opts.OnRace != nil {
-			d.opts.OnRace(r)
-		}
-		if d.opts.KeepMax == 0 || len(d.res.Races) < d.opts.KeepMax {
-			d.res.Races = append(d.res.Races, r)
-		}
+			PrevSeq: a.seq, CurSeq: acc.seq,
+			Addr:         e.Addr,
+			PrevEvidence: a.ev, CurEvidence: acc.ev,
+		})
 	}
 
-	// Retain the access, subsuming what it dominates (mirroring the
-	// optimized detector's state: a write clears everything ordered
-	// before it; a read replaces this thread's earlier read).
-	acc := refAccess{tid: e.TID, vc: vc.Clone(), pc: e.PC, write: isWrite}
-	if isWrite {
-		// A write subsumes the whole history: everything unordered was
-		// just reported, everything ordered is dominated.
-		st.accesses = append(st.accesses[:0], acc)
+	// Retain the access, subsuming what it dominates: a write subsumes
+	// the whole history (everything unordered was just reported,
+	// everything ordered is dominated); a read replaces this thread's
+	// earlier read where it stood, or joins the end.
+	if acc.write {
+		d.mem[e.Addr] = append(accs[:0], acc)
 		return
 	}
-	// Read: drop this thread's earlier reads; keep everything else.
-	kept := st.accesses[:0]
-	for _, a := range st.accesses {
+	for i, a := range accs {
 		if !a.write && a.tid == e.TID {
-			continue
+			accs[i] = acc
+			return
 		}
-		kept = append(kept, a)
 	}
-	st.accesses = append(kept, acc)
+	d.mem[e.Addr] = append(accs, acc)
+}
+
+// MarkDegraded tags every race reported from now on unconfirmed, as
+// Detector.MarkDegraded does.
+func (d *ReferenceDetector) MarkDegraded() {
+	d.degraded = true
+	d.res.Degraded = true
+}
+
+func (d *ReferenceDetector) report(r DynamicRace) {
+	if d.degraded {
+		r.Unconfirmed = true
+		d.res.Unconfirmed++
+	}
+	d.res.NumRaces++
+	if d.opts.OnRace != nil {
+		d.opts.OnRace(r)
+	}
+	if d.opts.KeepMax == 0 || len(d.res.Races) < d.opts.KeepMax {
+		d.res.Races = append(d.res.Races, r)
+	}
 }
 
 // Result returns the accumulated result.
-func (d *ReferenceDetector) Result() *Result { return &d.res }
+func (d *ReferenceDetector) Result() *Result {
+	d.res.NearMisses = d.near.Rows()
+	return &d.res
+}
 
 // DetectReference replays log through the reference detector.
 func DetectReference(log *trace.Log, opts Options) (*Result, error) {

@@ -7,12 +7,10 @@ import (
 
 // Engine is the epoch fast-path detector core for one stream of
 // accesses delivered in analysis order (a batch pass, or one streaming
-// shard). It is not safe for concurrent use; shards each own an Engine
-// and share the Depot.
+// shard). It is not safe for concurrent use; shards each own an Engine.
 type Engine struct {
-	tab   table
-	depot *Depot
-	opts  Options
+	tab  table
+	opts Options
 
 	accesses uint64
 	fast     uint64
@@ -21,112 +19,25 @@ type Engine struct {
 	// keepEv is set the first time a caller attaches a non-nil evidence
 	// payload to an inline epoch. Until then (all plain detection runs)
 	// the out-of-line evidence map is never touched. evIn stashes the
-	// payload WriteEv/ReadEv carry so the plain Write/Read entry points
-	// stay under the register-argument budget — an interface parameter
-	// would push the hot calls onto the stack.
+	// payload Access carries so the plain Write/Read entry points stay
+	// under the register-argument budget — an interface parameter would
+	// push the hot calls onto the stack.
 	keepEv bool
 	evIn   any
 
 	cFast *obs.Counter // epoch.fastpath_hits; nil-safe
 	cProm *obs.Counter // epoch.promotions; nil-safe
 
-	// Pairs already interned by this engine: dynamic races repeat a
-	// handful of static pairs thousands of times, so a local set
-	// short-cuts the depot's lock + canonical encoding on every report
-	// after a pair's first. memo caches the last pair in front of the
-	// set — dynamic races also cluster back-to-back on one static pair.
-	seen   pairSet
-	memo   pairKey
-	memoOK bool
-
 	// scr is the report-shaped view of the access under analysis; a
 	// field rather than a local so handing &scr to the OnRace callback
 	// (an indirect call the escape analysis must assume keeps it) does
 	// not allocate per race.
 	scr Access
-
-	// rsPool recycles read-share lists: a write to a promoted cell
-	// retires its list, and the next promotion reuses it instead of
-	// allocating. Promote/demote cycles on hot cells are common enough
-	// in read-heavy traces to show up as GC pressure otherwise.
-	rsPool [][]mrec
-}
-
-type pairKey struct{ a, b Frame }
-
-// pairSet is a tiny insert-only open-addressed set of race pairs. A
-// built-in map costs ~30ns per membership test on this struct key (the
-// generic hasher); with a few dozen distinct pairs per trace and tens
-// of thousands of dynamic races, an inline fibonacci-hashed probe is
-// worth having.
-type pairSet struct {
-	keys []pairKey
-	used []bool
-	n    int
-}
-
-func pairHash(k pairKey) uint64 {
-	x := uint64(uint32(k.a.PC.Func))<<32 | uint64(uint32(k.a.PC.Index))
-	y := uint64(uint32(k.b.PC.Func))<<32 | uint64(uint32(k.b.PC.Index))
-	h := x*0x9e3779b97f4a7c15 ^ y*0xc2b2ae3d27d4eb4f
-	if k.a.Write {
-		h ^= 0x5555555555555555
-	}
-	if k.b.Write {
-		h ^= 0xaaaaaaaaaaaaaaaa
-	}
-	h ^= h >> 29
-	return h
-}
-
-// insert adds k if absent and reports whether it was already present.
-func (s *pairSet) insert(k pairKey) bool {
-	if s.n*2 >= len(s.keys) {
-		s.grow()
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := pairHash(k) & mask
-	for s.used[i] {
-		if s.keys[i] == k {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-	s.keys[i] = k
-	s.used[i] = true
-	s.n++
-	return false
-}
-
-func (s *pairSet) grow() {
-	old := s.keys
-	oldUsed := s.used
-	capacity := 64
-	if len(old) > 0 {
-		capacity = len(old) * 2
-	}
-	s.keys = make([]pairKey, capacity)
-	s.used = make([]bool, capacity)
-	mask := uint64(capacity - 1)
-	for j, u := range oldUsed {
-		if !u {
-			continue
-		}
-		i := pairHash(old[j]) & mask
-		for s.used[i] {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = old[j]
-		s.used[i] = true
-	}
 }
 
 // NewEngine returns an engine with the given options.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts, depot: opts.Depot}
-	if e.depot == nil {
-		e.depot = NewDepot()
-	}
+	e := &Engine{opts: opts}
 	var cEvict *obs.Counter
 	if opts.Obs != nil {
 		e.cFast = opts.Obs.Counter("epoch.fastpath_hits")
@@ -137,9 +48,6 @@ func NewEngine(opts Options) *Engine {
 	return e
 }
 
-// Depot returns the stack depot race identities are interned into.
-func (e *Engine) Depot() *Depot { return e.depot }
-
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
@@ -148,44 +56,28 @@ func (e *Engine) Stats() Stats {
 		Promotions:   e.prom,
 		Evictions:    e.tab.evictions,
 		Cells:        e.tab.live,
-		DepotStacks:  e.depot.Len(),
 	}
 }
 
 // Access analyzes one sampled memory access; it is the struct-shaped
-// convenience form of Write/Read. Race reports come out in the exact
-// order the vector-clock oracle produces them: the stored write is
-// checked first (for reads and writes alike), then — on a write — every
+// form of Write/Read, and the one that carries an evidence payload.
+// Callers running plain detection should call Write/Read directly — the
+// extra interface field is the difference between a register call and
+// a stack spill per access. Race reports come out in the exact order
+// the reference detector produces them: the stored write is checked
+// first (for reads and writes alike), then — on a write — every
 // recorded read in first-read order; the cell state is updated
 // afterwards regardless of the outcome.
 func (e *Engine) Access(a *Access) {
+	if a.Ev != nil {
+		e.keepEv = true
+	}
+	e.evIn = a.Ev
 	if a.Write {
-		e.WriteEv(a.Addr, a.Seq, a.TID, a.PC, a.VC, a.Ev)
+		e.Write(a.Addr, a.Seq, a.TID, a.PC, a.VC)
 	} else {
-		e.ReadEv(a.Addr, a.Seq, a.TID, a.PC, a.VC, a.Ev)
+		e.Read(a.Addr, a.Seq, a.TID, a.PC, a.VC)
 	}
-}
-
-// WriteEv is Write with an evidence payload attached to the access.
-// Callers running plain detection should call Write directly — the
-// extra interface argument is the difference between a register call
-// and a stack spill per access.
-func (e *Engine) WriteEv(addr, seq uint64, tid int32, pc lir.PC, vc []uint64, ev any) {
-	if ev != nil {
-		e.keepEv = true
-	}
-	e.evIn = ev
-	e.Write(addr, seq, tid, pc, vc)
-	e.evIn = nil
-}
-
-// ReadEv is Read with an evidence payload attached to the access.
-func (e *Engine) ReadEv(addr, seq uint64, tid int32, pc lir.PC, vc []uint64, ev any) {
-	if ev != nil {
-		e.keepEv = true
-	}
-	e.evIn = ev
-	e.Read(addr, seq, tid, pc, vc)
 	e.evIn = nil
 }
 
@@ -294,7 +186,7 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 	}
 
 	if f&cellMulti != 0 {
-		rs := t.rs(addr)
+		rs := t.rs(i)
 		for k := range rs {
 			r := &rs[k]
 			if r.tid == tid {
@@ -322,19 +214,13 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 		e.cFast.Inc()
 	}
 
-	// The write supersedes all recorded reads (the vector-clock oracle
+	// The write supersedes all recorded reads (the reference detector
 	// clears its read list here even after races).
+	if f&cellMulti != 0 {
+		t.demote(i)
+	}
 	d.w = rec{clk: clk, seq: seq, pc: pc, tid: tid}
 	d.r = rec{}
-	if f&cellMulti != 0 {
-		if rs := t.rs(addr); cap(rs) > 0 {
-			for k := range rs {
-				rs[k].ev = nil // release evidence payloads before reuse
-			}
-			e.rsPool = append(e.rsPool, rs[:0])
-		}
-		t.dropRS(addr)
-	}
 	t.flags[i] = cellUsed | cellWrite
 	if e.keepEv {
 		e.setWEv(addr, e.evIn)
@@ -387,16 +273,15 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 				_, rEv = e.getEv(addr)
 				e.setREv(addr, nil)
 			}
-			rs := e.newRS()
-			t.setRS(addr, append(rs,
-				mrec{rec: d.r, ev: rEv}, mrec{rec: now, ev: e.evIn}))
-			d.r = rec{}
+			first := d.r
+			t.setRS(i, append(t.promote(i),
+				mrec{rec: first, ev: rEv}, mrec{rec: now, ev: e.evIn}))
 			t.flags[i] = f&^cellRead | cellMulti
 			e.prom++
 			e.cProm.Inc()
 		}
 	default:
-		rs := t.rs(addr)
+		rs := t.rs(i)
 		for k := range rs {
 			if rs[k].tid == tid {
 				rs[k] = mrec{rec: now, ev: e.evIn}
@@ -408,23 +293,12 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 			}
 		}
 		fast = false
-		t.setRS(addr, append(rs, mrec{rec: now, ev: e.evIn}))
+		t.setRS(i, append(rs, mrec{rec: now, ev: e.evIn}))
 	}
 	if fast {
 		e.fast++
 		e.cFast.Inc()
 	}
-}
-
-// newRS hands out an empty read-share list, reusing a retired one when
-// the pool has any.
-func (e *Engine) newRS() []mrec {
-	if n := len(e.rsPool); n > 0 {
-		rs := e.rsPool[n-1]
-		e.rsPool = e.rsPool[:n-1]
-		return rs
-	}
-	return make([]mrec, 0, 4)
 }
 
 func (e *Engine) setWEv(addr uint64, ev any) {
@@ -449,18 +323,8 @@ func (e *Engine) getEv(addr uint64) (w, r any) {
 	return nil, nil
 }
 
-// report interns the racing pair's identity into the depot and hands
-// the race to the caller with the stored attribution.
+// report hands the race to the caller with the stored attribution.
 func (e *Engine) report(prev *rec, prevEv any, prevWrite bool, cur *Access, sub int) {
-	k := pairKey{Frame{PC: prev.pc, Write: prevWrite}, Frame{PC: cur.PC, Write: cur.Write}}
-	// Interning is idempotent, so skipping pairs this engine already
-	// interned changes nothing but the depot's hit counter.
-	if !e.memoOK || k != e.memo {
-		if !e.seen.insert(k) {
-			e.depot.InternPair(k.a, k.b)
-		}
-		e.memo, e.memoOK = k, true
-	}
 	if e.opts.OnRace != nil {
 		e.opts.OnRace(Prev{Seq: prev.seq, TID: prev.tid, Write: prevWrite, PC: prev.pc, Ev: prevEv}, cur, sub)
 	}

@@ -1,7 +1,6 @@
 package shadow
 
 import (
-	"reflect"
 	"testing"
 
 	"literace/internal/lir"
@@ -150,30 +149,5 @@ func TestEngineEvictionForgetsHistory(t *testing.T) {
 	s := e.Stats()
 	if s.Evictions != 2 || s.Cells != 1 {
 		t.Fatalf("stats = %+v, want 2 evictions and 1 live cell", s)
-	}
-}
-
-func TestEngineDepotInternsRaceIdentities(t *testing.T) {
-	e, _ := collectRaces(Options{})
-	for i := 0; i < 3; i++ {
-		// Same static pair three times: one identity.
-		e.Access(&Access{Addr: 0x8, Seq: uint64(2*i + 1), TID: 0, Write: true,
-			PC: lir.PC{Func: 1, Index: 1}, VC: []uint64{1}})
-		e.Access(&Access{Addr: 0x8, Seq: uint64(2*i + 2), TID: 1, Write: true,
-			PC: lir.PC{Func: 2, Index: 2}, VC: []uint64{0, 1}})
-	}
-	if n := e.Depot().Len(); n != 1 {
-		t.Fatalf("depot holds %d identities, want 1", n)
-	}
-	frames, ok := e.Depot().Frames(e.Depot().IDs()[0])
-	if !ok {
-		t.Fatal("identity not decodable")
-	}
-	want := []Frame{
-		{PC: lir.PC{Func: 1, Index: 1}, Write: true},
-		{PC: lir.PC{Func: 2, Index: 2}, Write: true},
-	}
-	if !reflect.DeepEqual(frames, want) {
-		t.Fatalf("frames = %+v, want %+v", frames, want)
 	}
 }

@@ -6,21 +6,20 @@
 // (one epoch per concurrently-reading thread) is materialized only when
 // unordered reads from multiple threads force it.
 //
-// The core is deliberately engine-agnostic: it knows nothing about
-// trace replay, vector-clock bookkeeping, or evidence capture. Callers
-// (the batch detector in internal/hb and the streaming shard workers in
-// internal/stream) drive the sync-clock side themselves and hand each
-// sampled memory access to Engine.Access together with an immutable
-// view of the accessing thread's vector clock; the engine answers with
-// race callbacks that carry exactly the attribution the caller stored.
-// Both engines therefore report byte-identical race sets — the
-// vector-clock detector remains the differential oracle for this one.
+// This is the only access-history store of the detector: the batch
+// detector, the online detector and every streaming shard run one. It
+// knows nothing about trace replay, vector-clock bookkeeping, or
+// evidence capture. Callers drive the sync-clock side themselves
+// (hb.ClockEngine) and hand each sampled memory access to the engine
+// together with a view of the accessing thread's vector clock; the
+// engine answers with race callbacks that carry exactly the attribution
+// the caller stored. hb.ReferenceDetector, the textbook full-vector-clock
+// detector, is the differential oracle for it.
 //
 // Backing storage is a word-granular open-addressed shadow-memory
-// table (Table): one inline cell per exact address, no per-address heap
+// table: one inline cell per exact address, no per-address heap
 // allocation, optionally bounded with deterministic eviction
-// accounting. Racing access sites are interned into a stack depot
-// (Depot) that deduplicates race identities into stable 16-hex IDs.
+// accounting.
 package shadow
 
 import (
@@ -62,17 +61,12 @@ type Options struct {
 	// races (false negatives, like sampling itself), never invent them.
 	MaxCells int
 
-	// Depot, when non-nil, is the stack depot racing access pairs are
-	// interned into; share one across shards to deduplicate identities
-	// globally. A nil Depot gives the engine a private one.
-	Depot *Depot
-
 	// Obs, when non-nil, receives the engine counters epoch.fastpath_hits,
 	// epoch.promotions and shadow.evictions as the pass runs.
 	Obs *obs.Registry
 
 	// OnRace is invoked for every conflicting unordered pair, in the
-	// exact order the vector-clock oracle reports them: the write check
+	// exact order the reference detector reports them: the write check
 	// first, then recorded reads in first-read order. sub is the 0-based
 	// index of the race among those the current access produced. cur is
 	// only valid for the duration of the call; copy what you keep.
@@ -98,8 +92,16 @@ type Stats struct {
 	Evictions uint64
 	// Cells is the number of live shadow cells at snapshot time.
 	Cells int
-	// DepotStacks is the number of distinct race identities interned.
-	DepotStacks int
+}
+
+// Add folds o into s: the statistics of several engines (streaming
+// shards) sum to those of the whole pass.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.FastpathHits += o.FastpathHits
+	s.Promotions += o.Promotions
+	s.Evictions += o.Evictions
+	s.Cells += o.Cells
 }
 
 // clockAt reads tid's component of a vector clock snapshot; components

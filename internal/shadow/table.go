@@ -46,7 +46,8 @@ const (
 // cellData is the word-granular shadow state of one address: the last
 // write epoch and the single inline read epoch (the unpromoted common
 // case). Exactly 64 bytes, so the hot loop touches one data cache line
-// per access; the promoted read-share list lives in table.multi.
+// per access. A promoted cell's read slot holds the index of its
+// read-share list in table.lists (r.seq) instead of an epoch.
 type cellData struct {
 	w rec
 	r rec
@@ -73,12 +74,16 @@ type table struct {
 	flags []uint8
 	data  []cellData
 
-	// multi holds promoted read-share lists, one epoch per thread that
-	// read since the last write, in first-read order. evs holds
-	// out-of-line evidence for the inline epochs. Both are keyed by
-	// address, so backward-shift relocations never touch them.
-	multi map[uint64][]mrec
-	evs   map[uint64]*evPair
+	// lists holds the promoted read-share lists, one epoch per thread
+	// that read since the last write, in first-read order, indexed from
+	// the cells that own them (so relocations carry the index along).
+	// freeLists recycles retired indices together with their backing
+	// arrays: promote/demote cycles on hot cells are common in
+	// read-heavy traces. evs holds out-of-line evidence for the inline
+	// epochs, keyed by address.
+	lists     [][]mrec
+	freeLists []uint64
+	evs       map[uint64]*evPair
 
 	mask      uint64
 	live      int
@@ -135,10 +140,10 @@ func (t *table) cell(addr uint64) int {
 	idx := t.slot(addr)
 	for {
 		if t.flags[idx] == 0 {
-			// Grow at quarter load: displacement is what knocks accesses
-			// off find()'s home-slot fast path, and keys are only 8
-			// bytes, so trading memory for near-certain home hits wins.
-			if t.max == 0 && t.live+1 > len(t.keys)/4 {
+			// Grow past 3/4 load, the load a bounded table is sized for.
+			// Every slot carries a 64-byte data cell, so a sparser table
+			// buys a few more find() home hits with a lot of heap.
+			if t.max == 0 && t.live+1 > len(t.keys)*3/4 {
 				t.grow()
 				return t.cell(addr)
 			}
@@ -182,11 +187,11 @@ func (t *table) evict(keep uint64) {
 // every following cell of the probe chain that could have claimed the
 // hole moves into it, so linear probing keeps finding every survivor.
 // The evicted address's side state (read-share list, evidence) is
-// dropped with it; relocated survivors keep their addresses, so their
-// side state needs no fixup.
+// dropped with it; relocated survivors carry their list index and keep
+// their addresses, so their side state needs no fixup.
 func (t *table) remove(i uint64) {
-	if t.multi != nil {
-		delete(t.multi, t.keys[i])
+	if t.flags[i]&cellMulti != 0 {
+		t.demote(int(i))
 	}
 	if t.evs != nil {
 		delete(t.evs, t.keys[i])
@@ -241,25 +246,38 @@ func (t *table) grow() {
 	}
 }
 
-// rs returns addr's promoted read-share list (nil if none).
-func (t *table) rs(addr uint64) []mrec {
-	if t.multi == nil {
-		return nil
+// rs returns the read-share list of the promoted cell at slot i.
+func (t *table) rs(i int) []mrec { return t.lists[t.data[i].r.seq] }
+
+// setRS stores the (grown) read-share list of the promoted cell at i.
+func (t *table) setRS(i int, rs []mrec) { t.lists[t.data[i].r.seq] = rs }
+
+// promote gives the cell at slot i an empty read-share list, reusing a
+// retired one when there is any, and returns it. It overwrites the
+// cell's inline read epoch; the caller sets the flags.
+func (t *table) promote(i int) []mrec {
+	var id uint64
+	if n := len(t.freeLists); n > 0 {
+		id = t.freeLists[n-1]
+		t.freeLists = t.freeLists[:n-1]
+	} else {
+		id = uint64(len(t.lists))
+		t.lists = append(t.lists, make([]mrec, 0, 4))
 	}
-	return t.multi[addr]
+	t.data[i].r = rec{seq: id}
+	return t.lists[id]
 }
 
-func (t *table) setRS(addr uint64, rs []mrec) {
-	if t.multi == nil {
-		t.multi = make(map[uint64][]mrec, 8)
+// demote retires the read-share list of the promoted cell at slot i.
+// The caller resets the cell's read slot and flags.
+func (t *table) demote(i int) {
+	id := t.data[i].r.seq
+	rs := t.lists[id]
+	for k := range rs {
+		rs[k].ev = nil // release evidence payloads before reuse
 	}
-	t.multi[addr] = rs
-}
-
-func (t *table) dropRS(addr uint64) {
-	if t.multi != nil {
-		delete(t.multi, addr)
-	}
+	t.lists[id] = rs[:0]
+	t.freeLists = append(t.freeLists, id)
 }
 
 // ev returns the out-of-line evidence pair for addr, allocating it when

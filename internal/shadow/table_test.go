@@ -37,11 +37,26 @@ func auditTable(t *testing.T, tab *table) {
 	if used != tab.live {
 		t.Fatalf("live = %d but %d slots are used", tab.live, used)
 	}
-	// Side state may only exist for live addresses.
-	for addr := range tab.multi {
-		if !seen[addr] {
-			t.Fatalf("read-share list leaked for dead address %#x", addr)
+	// Every read-share list is either owned by exactly one live promoted
+	// cell or retired; evidence may only exist for live addresses.
+	owner := make(map[uint64]bool)
+	for i := range tab.flags {
+		if tab.flags[i]&cellMulti != 0 {
+			id := tab.data[i].r.seq
+			if id >= uint64(len(tab.lists)) || owner[id] {
+				t.Fatalf("read-share list %d out of range or owned twice", id)
+			}
+			owner[id] = true
 		}
+	}
+	for _, id := range tab.freeLists {
+		if owner[id] || len(tab.lists[id]) != 0 {
+			t.Fatalf("retired read-share list %d still owned or non-empty", id)
+		}
+		owner[id] = true
+	}
+	if len(owner) != len(tab.lists) {
+		t.Fatalf("%d read-share lists, %d owned or retired: one leaked", len(tab.lists), len(owner))
 	}
 	for addr := range tab.evs {
 		if !seen[addr] {
@@ -78,6 +93,28 @@ func TestTableInsertLookupGrow(t *testing.T) {
 		t.Fatalf("lookups created cells: live = %d, want %d", tab.live, n)
 	}
 	auditTable(t, &tab)
+}
+
+// TestTableCapacityAfterInserts pins the unbounded table's growth rule:
+// it doubles only past 3/4 load, so n cells cost the smallest power of
+// two (at least 64) slots holding n at that load. Every slot carries a
+// 64-byte data cell; a sparser rule multiplies the detector's heap.
+func TestTableCapacityAfterInserts(t *testing.T) {
+	for _, c := range []struct{ n, want int }{
+		{1, 64}, {48, 64}, {49, 128}, {10_000, 16_384}, {12_288, 16_384}, {12_289, 32_768},
+	} {
+		tab := newTable(0, nil)
+		for i := 1; i <= c.n; i++ {
+			tab.cell(uint64(i) * 8)
+		}
+		if got := len(tab.keys); got != c.want {
+			t.Errorf("%d inserts: capacity %d, want %d", c.n, got, c.want)
+		}
+		if len(tab.flags) != len(tab.keys) || len(tab.data) != len(tab.keys) {
+			t.Errorf("%d inserts: key/flag/data arrays disagree: %d/%d/%d",
+				c.n, len(tab.keys), len(tab.flags), len(tab.data))
+		}
+	}
 }
 
 func TestTableFindHomeSlot(t *testing.T) {
@@ -185,9 +222,9 @@ func TestTableEvictionDeterministic(t *testing.T) {
 func TestTableEvictionResetsState(t *testing.T) {
 	tab := newTable(1, nil)
 	idx := tab.cell(0x10)
+	tab.setRS(idx, append(tab.promote(idx), mrec{rec: rec{tid: 1}}))
 	tab.flags[idx] |= cellWrite | cellMulti
 	tab.data[idx].w.seq = 99
-	tab.setRS(0x10, []mrec{{rec: rec{tid: 1}}})
 	tab.ev(0x10, true).w = "stale"
 	// Inserting a second address evicts the first; coming back to the
 	// first must yield a virgin cell with no side state.
@@ -197,9 +234,10 @@ func TestTableEvictionResetsState(t *testing.T) {
 		t.Fatalf("re-inserted cell kept stale state: flags=%#x seq=%d",
 			tab.flags[idx], tab.data[idx].w.seq)
 	}
-	if tab.rs(0x10) != nil {
-		t.Fatalf("re-inserted cell kept stale read-share list: %v", tab.rs(0x10))
+	if len(tab.freeLists) != len(tab.lists) {
+		t.Fatalf("evicted cell's read-share list not retired: %d lists, %d free", len(tab.lists), len(tab.freeLists))
 	}
+	auditTable(t, &tab)
 	if p := tab.ev(0x10, false); p != nil && (p.w != nil || p.r != nil) {
 		t.Fatalf("re-inserted cell kept stale evidence: %+v", p)
 	}

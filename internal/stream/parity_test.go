@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,7 +75,13 @@ func mustBench(t *testing.T, key string) workloads.Benchmark {
 // given sizes (cycled; {0} means all at once).
 func runPipeline(t *testing.T, data []byte, shards int, sizes []int) *stream.Result {
 	t.Helper()
-	p := stream.New(stream.Options{Shards: shards, SamplerBit: hb.AllEvents})
+	return runPipelineOpts(t, data, stream.Options{Shards: shards, SamplerBit: hb.AllEvents}, sizes)
+}
+
+// runPipelineOpts is runPipeline with explicit pipeline options.
+func runPipelineOpts(t *testing.T, data []byte, opts stream.Options, sizes []int) *stream.Result {
+	t.Helper()
+	p := stream.New(opts)
 	for off, i := 0, 0; off < len(data); i++ {
 		n := sizes[i%len(sizes)]
 		if n <= 0 || n > len(data)-off {
@@ -93,12 +100,19 @@ func runPipeline(t *testing.T, data []byte, shards int, sizes []int) *stream.Res
 }
 
 // checkParity asserts the streaming result matches a batch pass bit for
-// bit: the race list (order included), the counts, and the analyzed-op
-// totals.
+// bit: the race list (order and evidence included), the counts, the
+// analyzed-op totals, the near-miss rows, and the shadow engines'
+// statistics summed over the shards.
 func checkParity(t *testing.T, name string, got *stream.Result, want *hb.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Races, want.Races) {
 		t.Fatalf("%s: streaming races differ from batch\nstream: %+v\nbatch:  %+v", name, got.Races, want.Races)
+	}
+	if !reflect.DeepEqual(got.NearMisses, want.NearMisses) {
+		t.Fatalf("%s: near-miss rows differ\nstream: %+v\nbatch:  %+v", name, got.NearMisses, want.NearMisses)
+	}
+	if got.Epoch == nil || want.Epoch == nil || *got.Epoch != *want.Epoch {
+		t.Fatalf("%s: shadow engine statistics differ: stream %+v, batch %+v", name, got.Epoch, want.Epoch)
 	}
 	if got.NumRaces != want.NumRaces || got.Unconfirmed != want.Unconfirmed || got.Degraded != want.Degraded {
 		t.Fatalf("%s: counts differ: stream %d/%d unconfirmed (degraded=%v), batch %d/%d (degraded=%v)",
@@ -110,10 +124,11 @@ func checkParity(t *testing.T, name string, got *stream.Result, want *hb.Result)
 	}
 }
 
-// TestStreamParityBenchmarks is the issue's acceptance gate: over every
-// evaluated benchmark and three seeds, streaming detection must report
-// exactly the batch result — both fed whole and fed through a torn live
-// tail that later completes.
+// TestStreamParityBenchmarks is the streaming acceptance gate: over
+// every evaluated benchmark and three seeds, streaming detection must
+// report exactly the batch result — fed whole, fed through a torn live
+// tail that later completes, and dripped in small pieces with evidence
+// capture and near-miss analytics on.
 func TestStreamParityBenchmarks(t *testing.T) {
 	for _, b := range workloads.Evaluated() {
 		b := b
@@ -151,9 +166,97 @@ func TestStreamParityBenchmarks(t *testing.T) {
 				// Fine-grained feeding must not change anything.
 				drip := runPipeline(t, data, 4, []int{4 << 10})
 				checkParity(t, "drip", drip, want)
+
+				// Forensic options: every race carries evidence and the
+				// per-shard near-miss rows merge to the batch table.
+				fwant, err := hb.Detect(log, hb.Options{
+					SamplerBit: hb.AllEvents, Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				forensic := runPipelineOpts(t, data, stream.Options{
+					Shards: 3, SamplerBit: hb.AllEvents, Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
+				}, []int{977})
+				checkParity(t, "evidence+near-miss", forensic, fwant)
+				if len(fwant.Races) > 0 && fwant.Races[0].PrevEvidence == nil {
+					t.Fatal("evidence pass captured no evidence")
+				}
 			}
 		})
 	}
+}
+
+// checkReference asserts the streaming result reports exactly what the
+// batch full-vector-clock reference (hb.DetectReference) reports: race
+// list with evidence, near-miss rows and counters. The reference keeps
+// no shadow statistics, so only the stream side's are checked, against
+// its own dispatch count.
+func checkReference(t *testing.T, name string, got *stream.Result, want *hb.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Races, want.Races) {
+		t.Fatalf("%s: streaming races differ from the reference\nstream:    %+v\nreference: %+v", name, got.Races, want.Races)
+	}
+	if !reflect.DeepEqual(got.NearMisses, want.NearMisses) {
+		t.Fatalf("%s: near-miss rows differ\nstream:    %+v\nreference: %+v", name, got.NearMisses, want.NearMisses)
+	}
+	if got.NumRaces != want.NumRaces || got.MemOps != want.MemOps || got.SyncOps != want.SyncOps {
+		t.Fatalf("%s: counters diverge: stream {r %d m %d s %d} reference {r %d m %d s %d}",
+			name, got.NumRaces, got.MemOps, got.SyncOps, want.NumRaces, want.MemOps, want.SyncOps)
+	}
+	if got.Epoch == nil || got.Epoch.Accesses != got.MemOps {
+		t.Fatalf("%s: shard statistics %+v do not account for %d dispatched accesses", name, got.Epoch, got.MemOps)
+	}
+}
+
+// TestStreamEpochMatchesBatchVC is the streaming half of the reference
+// parity gate: a sharded pipeline must report the exact race list —
+// order, attribution, evidence — the batch full-vector-clock reference
+// reports on the same bytes, for one shard and several, fed whole and
+// in pieces.
+func TestStreamEpochMatchesBatchVC(t *testing.T) {
+	for _, key := range []string{"dryad-stdlib", "concrt-msg", "apache-1", "lkrhash"} {
+		for _, seed := range []int64{1, 7} {
+			data := genLog(t, mustBench(t, key), seed, 1)
+			log, err := trace.ReadAll(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := hb.DetectReference(log, hb.Options{SamplerBit: hb.AllEvents, Evidence: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 3} {
+				for _, piece := range []int{0, 977} {
+					got := runPipelineOpts(t, data, stream.Options{
+						Shards: shards, SamplerBit: hb.AllEvents, Evidence: true,
+					}, []int{piece})
+					checkReference(t, fmt.Sprintf("%s seed %d shards %d piece %d", key, seed, shards, piece), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamEpochNearMissParity checks the per-shard near-miss rows
+// merge to the reference's table.
+func TestStreamEpochNearMissParity(t *testing.T) {
+	data := genLog(t, mustBench(t, "concrt-sched"), 3, 1)
+	log, err := trace.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hb.DetectReference(log, hb.Options{SamplerBit: hb.AllEvents, NearMissMargin: hb.DefaultNearMissMargin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runPipelineOpts(t, data, stream.Options{
+		Shards: 3, SamplerBit: hb.AllEvents, NearMissMargin: hb.DefaultNearMissMargin,
+	}, []int{0})
+	if len(want.NearMisses) == 0 {
+		t.Fatal("reference found no near misses; the test is vacuous")
+	}
+	checkReference(t, "concrt-sched seed 3", got, want)
 }
 
 // TestStreamShardCountInvariance pins the partitioning correctness: any

@@ -3,18 +3,19 @@
 // an incremental chunk decoder (trace.Stream) tails the growing byte
 // stream; the shared ready-queue merge engine (hb.Merger) reconstructs a
 // legal global order from the chunks as they arrive; a single-threaded
-// clock engine applies synchronization events to per-thread vector
-// clocks; and sampled memory accesses fan out to detection shards —
-// shadow memory partitioned by address — that run the happens-before
-// access analysis concurrently.
+// clock engine (hb.ClockEngine) applies synchronization events to
+// per-thread vector clocks; and sampled memory accesses fan out to
+// detection shards — shadow memory partitioned by address, one
+// shadow.Engine each — that run the happens-before access analysis
+// concurrently.
 //
 // The pipeline's result is identical, race for race and in the same
 // order, to a batch trace.ReadAll/Salvage + hb.Detect/DetectDegraded
 // pass over the same bytes. That holds by construction: batch replay and
 // this pipeline feed the same chunk sequence (the log's byte order)
-// through the same hb.Merger, the clock engine is the synchronization
-// half of hb.Detector verbatim, and each address's accesses reach
-// exactly one shard in replay order, so every happens-before judgment
+// through the same hb.Merger, the clock engine is the hb.ClockEngine the
+// batch detector runs, and each address's accesses reach exactly one
+// shard in replay order, so every happens-before judgment
 // compares the same clocks. A global dispatch ordinal restores the
 // replay-order race list when the shards' findings merge.
 package stream
@@ -75,17 +76,6 @@ type Options struct {
 	// hb.Options.NearMissMargin does; the per-shard accumulators merge at
 	// Finish into the same rows a batch pass produces.
 	NearMissMargin int
-	// Engine selects the per-shard memory-access analysis core:
-	// hb.EngineVC (also the empty string, the default) or
-	// hb.EngineEpoch, which routes every shard's accesses through an
-	// epoch fast-path engine (internal/shadow) sharing one stack depot.
-	// Race sets stay byte-identical either way. Callers validate the
-	// name (hb.ValidEngine); New treats unknown values as the default.
-	Engine string
-	// ShadowMaxCells bounds each shard's shadow-memory table under the
-	// epoch engine; 0 (unbounded) preserves exact parity with the
-	// vector-clock core.
-	ShadowMaxCells int
 }
 
 // DefaultShards is the shard count when Options.Shards is 0.
@@ -146,16 +136,11 @@ type Pipeline struct {
 	shards []*shard
 	done   chan struct{}
 
-	// depot is the stack depot the shard epoch engines share; nil under
-	// the vector-clock engine.
-	depot *shadow.Depot
-
 	dec *trace.Stream
 	m   *hb.Merger
 	deg hb.Degradation
 
-	threads  map[int32]*clockState
-	vars     map[uint64]hb.VC
+	clk      *hb.ClockEngine
 	degraded bool
 
 	ordinal    uint64 // next mem-access dispatch ordinal
@@ -204,23 +189,7 @@ type Pipeline struct {
 	obsHWM      *obs.Gauge   // stream.backlog_hwm
 	obsStalls   *obs.Gauge   // stream.reorder_stalls
 	obsEPS      *obs.Gauge   // stream.events_per_sec
-	obsJoins    *obs.Counter // hb.vc_joins
 	obsRaces    *obs.Counter // hb.dynamic_races
-	obsMem      *obs.Counter // hb.mem_events
-	obsSync     *obs.Counter // hb.sync_events
-}
-
-// clockState is the producer-side view of one thread: its live vector
-// clock plus the immutable snapshot shards read. Sync events mutate vc
-// and mark it dirty; the next dispatched access re-snapshots. In
-// evidence mode ev tracks the thread's happens-before frontier and held
-// lockset (mirrors hb.Detector's threadState exactly).
-type clockState struct {
-	vc     hb.VC
-	pub    hb.VC
-	dirty  bool
-	memSeq uint64
-	ev     hb.EvidenceState
 }
 
 // New starts a pipeline: the shard workers launch immediately and idle
@@ -233,9 +202,10 @@ func New(opts Options) *Pipeline {
 		opts.BatchSize = DefaultBatchSize
 	}
 	p := &Pipeline{
-		opts:    opts,
-		threads: make(map[int32]*clockState),
-		vars:    make(map[uint64]hb.VC),
+		opts: opts,
+		clk: hb.NewClockEngine(hb.Options{
+			SamplerBit: opts.SamplerBit, Evidence: opts.Evidence, Obs: opts.Obs,
+		}),
 		pending: make([][]memAccess, opts.Shards),
 		done:    make(chan struct{}, opts.Shards),
 		start:   time.Now(),
@@ -253,10 +223,7 @@ func New(opts Options) *Pipeline {
 		p.obsHWM = reg.Gauge("stream.backlog_hwm")
 		p.obsStalls = reg.Gauge("stream.reorder_stalls")
 		p.obsEPS = reg.Gauge("stream.events_per_sec")
-		p.obsJoins = reg.Counter("hb.vc_joins")
 		p.obsRaces = reg.Counter("hb.dynamic_races")
-		p.obsMem = reg.Counter("hb.mem_events")
-		p.obsSync = reg.Counter("hb.sync_events")
 	}
 	var onRace func(hb.DynamicRace)
 	if opts.OnRace != nil {
@@ -266,23 +233,17 @@ func New(opts Options) *Pipeline {
 			p.opts.OnRace(r)
 		}
 	}
-	if opts.Engine == hb.EngineEpoch {
-		p.depot = shadow.NewDepot()
-	}
 	for i := 0; i < opts.Shards; i++ {
 		s := &shard{
 			idx:        i,
 			ch:         make(chan []memAccess, shardChanDepth),
-			mem:        make(map[uint64]*addrHist),
 			degradeOrd: &p.degradeOrd,
 			onRace:     onRace,
 			near:       hb.NewNearAccum(opts.NearMissMargin),
 			evCnt:      opts.Obs.Counter(fmt.Sprintf("%s%d", ShardEventsCounterPrefix, i)),
 			rec:        opts.Diag,
 		}
-		if p.depot != nil {
-			s.attachEpoch(p.depot, opts)
-		}
+		s.eng = hb.NewAccessEngine(0, opts.Obs, s.near, s.report)
 		p.shards = append(p.shards, s)
 		go s.run(p.done)
 	}
@@ -362,80 +323,40 @@ func (p *Pipeline) onChunk(tid int32, evs []trace.Event, suspect bool) {
 // growth is considered routine and not worth an anomaly record.
 const backlogHWMFloor = 1024
 
-// handle is the clock engine: the synchronization half of hb.Detector,
-// run single-threaded in merge order, plus the fan-out of sampled memory
-// accesses to shards.
+// handle runs the clock engine over one event in merge order and fans
+// the sampled memory accesses out to the shards.
 func (p *Pipeline) handle(e trace.Event) error {
 	p.obsEvents.Inc()
-	// Accumulate clock-engine wall time per chunk when the flight
-	// recorder is on (one span per chunk, flushed by onChunk).
-	var clkT0 time.Time
-	clkTimed := p.rec != nil && e.Kind.IsSync()
-	if clkTimed {
-		clkT0 = time.Now()
-	}
 	switch e.Kind {
-	case trace.KindAcquire:
-		p.res.SyncOps++
-		p.obsSync.Inc()
-		t := p.thread(e.TID)
-		if lv, ok := p.vars[e.Addr]; ok {
-			t.vc = t.vc.Join(lv)
-			t.dirty = true
-			p.obsJoins.Inc()
-		}
-		if p.opts.Evidence {
-			t.ev.OnSync(e)
-		}
-	case trace.KindRelease:
-		p.res.SyncOps++
-		p.obsSync.Inc()
-		t := p.thread(e.TID)
-		p.vars[e.Addr] = p.vars[e.Addr].Join(t.vc)
-		p.obsJoins.Inc()
-		t.vc = t.vc.Tick(e.TID)
-		t.dirty = true
-		if p.opts.Evidence {
-			t.ev.OnSync(e)
-		}
-	case trace.KindAcqRel:
-		p.res.SyncOps++
-		p.obsSync.Inc()
-		t := p.thread(e.TID)
-		if lv, ok := p.vars[e.Addr]; ok {
-			t.vc = t.vc.Join(lv)
-			p.obsJoins.Inc()
-		}
-		p.vars[e.Addr] = p.vars[e.Addr].Join(t.vc)
-		p.obsJoins.Inc()
-		t.vc = t.vc.Tick(e.TID)
-		t.dirty = true
-		if p.opts.Evidence {
-			t.ev.OnSync(e)
-		}
-	case trace.KindRead, trace.KindWrite:
-		if p.opts.SamplerBit >= 0 && e.Mask&(1<<uint(p.opts.SamplerBit)) == 0 {
+	case trace.KindAcquire, trace.KindRelease, trace.KindAcqRel:
+		if p.rec == nil {
+			p.clk.Sync(&e)
 			return nil
 		}
-		p.res.MemOps++
-		p.obsMem.Inc()
-		t := p.thread(e.TID)
-		t.memSeq++
-		if t.dirty || t.pub == nil {
-			t.pub = t.vc.Clone()
-			t.dirty = false
+		// Accumulate clock-engine wall time per chunk for the flight
+		// recorder (one span per chunk, flushed by onChunk).
+		t0 := time.Now()
+		p.clk.Sync(&e)
+		p.clkNs += time.Since(t0).Nanoseconds()
+		p.clkOps++
+	case trace.KindRead, trace.KindWrite:
+		t := p.clk.Access(&e)
+		if t == nil {
+			return nil
 		}
+		// Shards read the clock concurrently: they get the immutable
+		// snapshot, never the live clock.
 		a := memAccess{
 			ord:   p.ordinal,
-			seq:   t.memSeq,
+			seq:   t.MemSeq,
 			addr:  e.Addr,
 			tid:   e.TID,
 			write: e.Kind == trace.KindWrite,
 			pc:    e.PC,
-			vc:    t.pub,
+			vc:    t.Snapshot(),
 		}
 		if p.opts.Evidence {
-			a.ev = t.ev.Snapshot(t.pub)
+			a.ev = t.Evidence()
 		}
 		p.ordinal++
 		p.obsDispatch.Inc()
@@ -445,22 +366,7 @@ func (p *Pipeline) handle(e trace.Event) error {
 			p.flush(i)
 		}
 	}
-	if clkTimed {
-		p.clkNs += time.Since(clkT0).Nanoseconds()
-		p.clkOps++
-	}
 	return nil
-}
-
-func (p *Pipeline) thread(tid int32) *clockState {
-	t := p.threads[tid]
-	if t == nil {
-		// A fresh thread starts at clock 1 so its epoch (tid, 1) is not
-		// vacuously happens-before everything (mirrors hb.Detector).
-		t = &clockState{vc: hb.VC{}.Set(tid, 1), dirty: true}
-		p.threads[tid] = t
-	}
-	return t
 }
 
 // shardOf partitions the address space: a multiplicative hash spreads
@@ -657,6 +563,7 @@ func (p *Pipeline) Finish() (*Result, error) {
 		return all[i].sub < all[j].sub
 	})
 
+	p.res.MemOps, p.res.SyncOps = p.clk.MemOps, p.clk.SyncOps
 	res := &Result{
 		Result:       p.res,
 		Degradation:  p.deg,
@@ -697,22 +604,11 @@ func (p *Pipeline) Finish() (*Result, error) {
 			reg.Gauge(fmt.Sprintf("%s%d", ShardUtilGaugePrefix, i)).Set(float64(n) / float64(total))
 		}
 	}
-	if p.depot != nil {
-		agg := shadow.Stats{DepotStacks: p.depot.Len()}
-		for _, s := range p.shards {
-			st := s.eng.Stats()
-			agg.Accesses += st.Accesses
-			agg.FastpathHits += st.FastpathHits
-			agg.Promotions += st.Promotions
-			agg.Evictions += st.Evictions
-			agg.Cells += st.Cells
-		}
-		res.Epoch = &agg
-		if reg := p.opts.Obs; reg != nil {
-			reg.Gauge("shadow.cells").Set(float64(agg.Cells))
-			reg.Gauge("shadow.depot_stacks").Set(float64(agg.DepotStacks))
-		}
+	res.Epoch = &shadow.Stats{}
+	for _, s := range p.shards {
+		res.Epoch.Add(s.eng.Stats())
 	}
+	hb.PublishShadowCells(p.opts.Obs, res.Epoch)
 	p.finRes = res
 	return res, nil
 }

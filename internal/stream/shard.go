@@ -35,34 +35,13 @@ type shardRace struct {
 	sub int
 }
 
-// readRec and writeRec mirror hb's FastTrack-style compact access
-// history: a scalar (tid, clock) epoch plus the attribution fields a race
-// report needs.
-type readRec struct {
-	tid int32
-	clk uint64
-	pc  lir.PC
-	seq uint64
-	ev  *hb.AccessEvidence // nil unless evidence mode
-}
-
-type addrHist struct {
-	hasWrite bool
-	wTID     int32
-	wClk     uint64
-	wPC      lir.PC
-	wSeq     uint64
-	wEv      *hb.AccessEvidence // nil unless evidence mode
-	reads    []readRec          // reads since the last ordered write
-}
-
-// shard is one detection worker: it owns the access histories of the
+// shard is one detection worker: it owns the shadow memory of the
 // addresses hashed to it and processes their events strictly in dispatch
 // order, so its view of each address is identical to a batch detector's.
 type shard struct {
 	idx        int
 	ch         chan []memAccess
-	mem        map[uint64]*addrHist
+	eng        *shadow.Engine
 	races      []shardRace
 	events     uint64
 	degradeOrd *atomic.Uint64
@@ -71,46 +50,9 @@ type shard struct {
 	evCnt      *obs.Counter         // stream.shard_events.<idx>
 	rec        *diag.Recorder       // flight recorder; may be nil
 
-	// Epoch-engine state (Options.Engine == hb.EngineEpoch): eng
-	// replaces the mem map as this shard's access-history store, and
 	// curOrd carries the dispatch ordinal of the access under analysis
 	// into the race callback.
-	eng    *shadow.Engine
 	curOrd uint64
-}
-
-// attachEpoch routes this shard's accesses through an epoch fast-path
-// engine instead of the vector-clock history map. The depot is shared
-// across all shards so race identities deduplicate globally; the obs
-// counters are shared too (atomic increments).
-func (s *shard) attachEpoch(depot *shadow.Depot, opts Options) {
-	so := shadow.Options{
-		MaxCells: opts.ShadowMaxCells,
-		Depot:    depot,
-		Obs:      opts.Obs,
-		OnRace: func(prev shadow.Prev, cur *shadow.Access, sub int) {
-			r := hb.DynamicRace{
-				PrevPC: prev.PC, CurPC: cur.PC,
-				PrevWrite: prev.Write, CurWrite: cur.Write,
-				PrevTID: prev.TID, CurTID: cur.TID,
-				PrevSeq: prev.Seq, CurSeq: cur.Seq,
-				Addr: cur.Addr,
-			}
-			if prev.Ev != nil {
-				r.PrevEvidence = prev.Ev.(*hb.AccessEvidence)
-			}
-			if cur.Ev != nil {
-				r.CurEvidence = cur.Ev.(*hb.AccessEvidence)
-			}
-			s.report(r, s.curOrd, sub)
-		},
-	}
-	if opts.NearMissMargin > 0 {
-		so.OnOrdered = func(prevPC, curPC lir.PC, margin uint64) {
-			s.near.Note(prevPC, curPC, margin)
-		}
-	}
-	s.eng = shadow.NewEngine(so)
 }
 
 func (s *shard) run(done chan<- struct{}) {
@@ -119,8 +61,8 @@ func (s *shard) run(done chan<- struct{}) {
 		if s.rec != nil {
 			t0 = time.Now()
 		}
-		for _, a := range batch {
-			s.access(a)
+		for i := range batch {
+			s.access(&batch[i])
 		}
 		s.events += uint64(len(batch))
 		s.evCnt.Add(uint64(len(batch)))
@@ -132,101 +74,29 @@ func (s *shard) run(done chan<- struct{}) {
 	done <- struct{}{}
 }
 
-// access mirrors hb.Detector's per-event analysis exactly, plus the
-// same-thread epoch fast path: a write by the thread that already owns
-// the address's last write, with no reads pending, cannot race — the
-// epoch advances without touching the vector-clock snapshot at all.
-func (s *shard) access(a memAccess) {
-	if s.eng != nil {
-		s.curOrd = a.ord
-		switch {
-		case a.ev != nil && a.write:
-			s.eng.WriteEv(a.addr, a.seq, a.tid, a.pc, a.vc, a.ev)
-		case a.ev != nil:
-			s.eng.ReadEv(a.addr, a.seq, a.tid, a.pc, a.vc, a.ev)
-		case a.write:
-			s.eng.Write(a.addr, a.seq, a.tid, a.pc, a.vc)
-		default:
-			s.eng.Read(a.addr, a.seq, a.tid, a.pc, a.vc)
-		}
-		return
+// access hands one access to the shard's engine, exactly as
+// hb.Detector does in a batch pass.
+func (s *shard) access(a *memAccess) {
+	s.curOrd = a.ord
+	switch {
+	case a.ev != nil:
+		s.eng.Access(&shadow.Access{
+			Addr: a.addr, Seq: a.seq, TID: a.tid, Write: a.write, PC: a.pc, VC: a.vc, Ev: a.ev,
+		})
+	case a.write:
+		s.eng.Write(a.addr, a.seq, a.tid, a.pc, a.vc)
+	default:
+		s.eng.Read(a.addr, a.seq, a.tid, a.pc, a.vc)
 	}
-	st := s.mem[a.addr]
-	if st == nil {
-		st = &addrHist{}
-		s.mem[a.addr] = st
-	}
-	if a.write && st.hasWrite && st.wTID == a.tid && len(st.reads) == 0 {
-		st.wClk = a.vc.At(a.tid)
-		st.wPC = a.pc
-		st.wSeq = a.seq
-		st.wEv = a.ev
-		return
-	}
-	nowClk := a.vc.At(a.tid)
-	sub := 0
-
-	if st.hasWrite && st.wTID != a.tid {
-		if st.wClk > a.vc.At(st.wTID) {
-			s.report(hb.DynamicRace{
-				PrevPC: st.wPC, CurPC: a.pc,
-				PrevWrite: true, CurWrite: a.write,
-				PrevTID: st.wTID, CurTID: a.tid,
-				PrevSeq: st.wSeq, CurSeq: a.seq,
-				Addr:         a.addr,
-				PrevEvidence: st.wEv, CurEvidence: a.ev,
-			}, a.ord, sub)
-			sub++
-		} else {
-			s.near.Note(st.wPC, a.pc, a.vc.At(st.wTID)-st.wClk)
-		}
-	}
-
-	if a.write {
-		for _, r := range st.reads {
-			if r.tid == a.tid {
-				continue
-			}
-			if r.clk > a.vc.At(r.tid) {
-				s.report(hb.DynamicRace{
-					PrevPC: r.pc, CurPC: a.pc,
-					PrevWrite: false, CurWrite: true,
-					PrevTID: r.tid, CurTID: a.tid,
-					PrevSeq: r.seq, CurSeq: a.seq,
-					Addr:         a.addr,
-					PrevEvidence: r.ev, CurEvidence: a.ev,
-				}, a.ord, sub)
-				sub++
-			} else {
-				s.near.Note(r.pc, a.pc, a.vc.At(r.tid)-r.clk)
-			}
-		}
-		st.hasWrite = true
-		st.wTID = a.tid
-		st.wClk = nowClk
-		st.wPC = a.pc
-		st.wSeq = a.seq
-		st.wEv = a.ev
-		st.reads = st.reads[:0]
-		return
-	}
-
-	// Record the read, replacing any earlier read by the same thread
-	// (program order makes the newer one dominate).
-	for i := range st.reads {
-		if st.reads[i].tid == a.tid {
-			st.reads[i] = readRec{tid: a.tid, clk: nowClk, pc: a.pc, seq: a.seq, ev: a.ev}
-			return
-		}
-	}
-	st.reads = append(st.reads, readRec{tid: a.tid, clk: nowClk, pc: a.pc, seq: a.seq, ev: a.ev})
 }
 
-func (s *shard) report(r hb.DynamicRace, ord uint64, sub int) {
-	if ord >= s.degradeOrd.Load() {
+// report records a race the access at curOrd produced; sub is its index
+// among that access's races.
+func (s *shard) report(r hb.DynamicRace, sub int) {
+	if s.curOrd >= s.degradeOrd.Load() {
 		r.Unconfirmed = true
 	}
-	s.races = append(s.races, shardRace{r: r, ord: ord, sub: sub})
+	s.races = append(s.races, shardRace{r: r, ord: s.curOrd, sub: sub})
 	if s.onRace != nil {
 		s.onRace(r)
 	}

@@ -103,30 +103,11 @@ func (p *Program) Instrument() (InstrumentStats, error) {
 	}, nil
 }
 
-// EngineVC and EngineEpoch name the two detection cores accepted
-// wherever an engine name is taken (Config.Engine, StreamOptions.Engine,
-// DetectEngine): the vector-clock oracle and the epoch fast-path core
-// (internal/shadow). Both report byte-identical race sets; the epoch
-// core trades the per-access vector-clock compare for O(1) epoch checks.
-const (
-	EngineVC    = hb.EngineVC
-	EngineEpoch = hb.EngineEpoch
-)
-
-// ValidEngine reports whether name selects a known detection engine;
-// the empty string selects EngineVC.
-func ValidEngine(name string) bool { return hb.ValidEngine(name) }
-
 // Config controls an instrumented execution.
 type Config struct {
 	// Sampler names the primary sampling strategy: "TL-Ad" (default),
 	// "TL-Fx", "G-Ad", "G-Fx", "Rnd10", "Rnd25", "UCP", or "Full".
 	Sampler string
-	// Engine selects the detection core for the online detector
-	// (Config.Online): EngineVC (default) or EngineEpoch. Offline
-	// passes take the engine separately (DetectEngine,
-	// StreamOptions.Engine). Run rejects unknown names.
-	Engine string
 	// Seed drives the deterministic scheduler and samplers.
 	Seed int64
 	// LogTo receives the encoded event log; when nil an in-memory log is
@@ -208,10 +189,6 @@ func (p *Program) Run(cfg Config) (*RunResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("literace: unknown sampler %q", name)
 	}
-	if !hb.ValidEngine(cfg.Engine) {
-		return nil, fmt.Errorf("literace: unknown detection engine %q (valid: %s, %s)",
-			cfg.Engine, EngineVC, EngineEpoch)
-	}
 
 	out := &RunResult{}
 	var sink io.Writer = cfg.LogTo
@@ -242,7 +219,6 @@ func (p *Program) Run(cfg Config) (*RunResult, error) {
 		// capture cost is bounded by the sampled (logged) access count.
 		online = hb.NewDetector(hb.Options{
 			SamplerBit: hb.AllEvents, Obs: cfg.Obs, Evidence: cfg.Coverage,
-			Engine: cfg.Engine,
 		})
 		rtCfg.OnEvent = func(e trace.Event) { online.Process(e) }
 	}
@@ -424,13 +400,6 @@ func Detect(log io.Reader, resolve func(int32) string) (*Report, error) {
 // replay, and detection phases record spans and the detector publishes
 // its counters (vector-clock joins, replay stalls, races found) into reg.
 func DetectObs(log io.Reader, resolve func(int32) string, reg *obs.Registry) (*Report, error) {
-	return DetectEngine(log, resolve, reg, "")
-}
-
-// DetectEngine is DetectObs with an explicit detection core: EngineVC
-// (also the empty string) or EngineEpoch. The reported races are
-// byte-identical either way; unknown names error.
-func DetectEngine(log io.Reader, resolve func(int32) string, reg *obs.Registry, engine string) (*Report, error) {
 	span := reg.StartSpan("decode")
 	decoded, err := trace.ReadAll(log)
 	if err != nil {
@@ -438,7 +407,7 @@ func DetectEngine(log io.Reader, resolve func(int32) string, reg *obs.Registry, 
 	}
 	span.EndItems(uint64(decoded.NumEvents()))
 	span = reg.StartSpan("replay+detect")
-	res, err := hb.Detect(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg, Engine: engine})
+	res, err := hb.Detect(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -456,12 +425,6 @@ func DetectEngine(log io.Reader, resolve func(int32) string, reg *obs.Registry, 
 // data or the replay had to weaken orderings. Confirmed races keep the
 // zero-false-positive guarantee. reg may be nil.
 func DetectSalvaged(log io.Reader, resolve func(int32) string, reg *obs.Registry) (*Report, *trace.SalvageReport, error) {
-	return DetectSalvagedEngine(log, resolve, reg, "")
-}
-
-// DetectSalvagedEngine is DetectSalvaged with an explicit detection
-// core (see DetectEngine).
-func DetectSalvagedEngine(log io.Reader, resolve func(int32) string, reg *obs.Registry, engine string) (*Report, *trace.SalvageReport, error) {
 	span := reg.StartSpan("salvage")
 	decoded, srep, err := trace.SalvageObs(log, reg)
 	if err != nil {
@@ -469,7 +432,7 @@ func DetectSalvagedEngine(log io.Reader, resolve func(int32) string, reg *obs.Re
 	}
 	span.EndItems(uint64(decoded.NumEvents()))
 	span = reg.StartSpan("replay+detect")
-	res, deg, err := hb.DetectDegraded(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg, Engine: engine})
+	res, deg, err := hb.DetectDegraded(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg})
 	if err != nil {
 		return nil, srep, err
 	}
@@ -605,11 +568,6 @@ type StreamOptions struct {
 	// NearMissMargin enables near-miss analytics
 	// (hb.Options.NearMissMargin); 0 disables.
 	NearMissMargin int
-	// Engine selects the per-shard detection core: EngineVC (also the
-	// empty string) or EngineEpoch. The final report is byte-identical
-	// either way. Validate with ValidEngine first; unknown names fall
-	// back to the default core.
-	Engine string
 }
 
 // StreamSession runs the online detection pipeline over an LTRC2 log
@@ -634,7 +592,6 @@ func NewStreamSession(resolve func(int32) string, opts StreamOptions) *StreamSes
 		Log:            opts.Log,
 		Evidence:       opts.Evidence,
 		NearMissMargin: opts.NearMissMargin,
-		Engine:         opts.Engine,
 	}
 	if opts.OnRace != nil {
 		name := func(pc lir.PC) string { return fmt.Sprintf("fn%d:%d", pc.Func, pc.Index) }
@@ -695,33 +652,6 @@ func (s *StreamSession) Finish() (*Report, *stream.Result, error) {
 	rep.Degraded = res.Degradation.Degraded() || res.Salvage.Lossy()
 	rep.DegradedSkips = res.Degradation.SlotsSkipped
 	return rep, res, nil
-}
-
-// DetectStream is the one-shot convenience: run the streaming pipeline
-// over a complete encoded log. The Report equals DetectSalvaged's on the
-// same bytes; the pipeline's only advantage here is sharded parallelism.
-func DetectStream(log io.Reader, resolve func(int32) string, reg *obs.Registry) (*Report, *trace.SalvageReport, error) {
-	s := NewStreamSession(resolve, StreamOptions{Obs: reg})
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := log.Read(buf)
-		if n > 0 {
-			if ferr := s.Feed(buf[:n]); ferr != nil {
-				return nil, nil, ferr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	rep, res, err := s.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, res.Salvage, nil
 }
 
 // VerifyLog checks an encoded log's structural invariants beyond what
