@@ -38,7 +38,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"literace"
 	"literace/internal/harness"
@@ -144,12 +143,10 @@ func usage() {
   report  ls       [-ledger dir]                     list run-report ledger entries
   report  show     [-ledger dir] [-json] <id>        print one ledger report
   report  compare  [-ledger dir] [-strict] [-json] <A> <B>   drift between two reports (exit 3 past thresholds)
-  bench   [-list | key] [-serve ADDR] [-overhead-out f]
-          [-stream-out f [-stream-bench key] [-stream-baseline f]]
-          [-collector-out f [-collector-producers N] [-collector-baseline f]]
-          [-soak-out f [-soak-seconds S] [-soak-producers N] [-soak-interval d] [-soak-min-samples N] [-soak-baseline f]]
-          run benchmarks (see -list; exit 3 on baseline drift; -soak-out churns a fault-injected
-          producer fleet through a collector and gates on bounded heap/backlog over the recorded history)
+  bench   [-list | key] [-sampler S] [-seed N] [-scale N] [-serve ADDR] [-overhead-out f | -soak-out f]
+          run a benchmark; -overhead-out writes the deterministic overhead/ESR artifact;
+          -soak-out churns a fault-injected producer fleet through a collector for 30s and
+          exits 1 unless heap, backlog, samples and shipments pass their gates
   stats   <prog.lir> [-sampler S] [-seed N] [-json]  pipeline telemetry + coverage report
   serve-collector [-listen ADDR] [-serve ADDR] [-out dir] [-ledger dir] [-addr-file f] [-src prog.lir]
           [-done-after N] [-done-timeout d] [-resume-grace d] [-idle-timeout d] [-max-sessions N] [-max-reorder N]
@@ -161,7 +158,7 @@ func usage() {
           (byte-identical to detect's on a healthy link)
 Commands that log diagnostics accept -log-format text|json and -log-level debug|info|warn|error
 (structured slog lines on stderr; stdout carries only the command's data output).
-Exit codes: 0 ok, 1 error, 2 usage, 3 baseline/report drift, 4 sustained SLO breach (see docs/OBSERVABILITY.md).`)
+Exit codes: 0 ok, 1 error, 2 usage, 3 report drift, 4 sustained SLO breach (see docs/OBSERVABILITY.md).`)
 }
 
 func loadProgram(path string) (*literace.Program, error) {
@@ -769,18 +766,7 @@ func cmdBench(args []string) error {
 	scale := fs.Int("scale", 0, "workload scale (0 = default)")
 	serveAddr := fs.String("serve", "", "serve live telemetry over HTTP at this address while benchmarking")
 	overheadOut := fs.String("overhead-out", "", "run the full overhead sweep and write the BENCH_overhead.json artifact here")
-	streamOut := fs.String("stream-out", "", "run the streaming-vs-batch shard sweep and write the BENCH_stream.json artifact here")
-	streamBench := fs.String("stream-bench", "apache-1", "benchmark the -stream-out sweep traces")
-	streamBaseline := fs.String("stream-baseline", "", "compare the -stream-out artifact against this committed baseline (exit 3 on drift)")
-	collectorOut := fs.String("collector-out", "", "run the fleet collector parity sweep and write the BENCH_collector.json artifact here")
-	collectorProducers := fs.Int("collector-producers", 0, "concurrent producers in the -collector-out sweep (0 = default)")
-	collectorBaseline := fs.String("collector-baseline", "", "compare the -collector-out artifact against this committed baseline (exit 3 on drift)")
-	soakOut := fs.String("soak-out", "", "run the long-haul collector soak and write the BENCH_soak.json artifact here")
-	soakSeconds := fs.Float64("soak-seconds", 0, "soak duration in seconds (0 = 30)")
-	soakProducers := fs.Int("soak-producers", 0, "concurrent producers churned by the soak (0 = 8)")
-	soakInterval := fs.Duration("soak-interval", 0, "soak time-series sample interval (0 = 250ms)")
-	soakMinSamples := fs.Int("soak-min-samples", 0, "per-series sample floor the soak gates on (0 = 50)")
-	soakBaseline := fs.String("soak-baseline", "", "compare the -soak-out artifact against this committed baseline (exit 3 on drift)")
+	soakOut := fs.String("soak-out", "", "run the long-haul collector soak and write the BENCH_soak.json artifact here (exit 1 if a gate fails)")
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	log, err := lcfg.logger("bench")
@@ -804,130 +790,28 @@ func cmdBench(args []string) error {
 	}
 	defer shutdown()
 	if *overheadOut != "" {
-		cfg := harness.Config{
+		sum, err := harness.BuildOverheadSummary(harness.Config{
 			Seeds: []int64{*seed},
 			Scale: *scale,
 			Obs:   reg,
 			Logf:  logf,
-		}
-		sum, err := harness.BuildOverheadSummary(cfg)
+		})
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*overheadOut)
-		if err != nil {
-			return err
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtifact(*overheadOut, sum); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s: %d benchmarks, %d samplers (schema %s, scale %d, seed %d)\n",
 			*overheadOut, len(sum.Benchmarks), len(sum.Samplers), sum.Schema, sum.Scale, sum.Seed)
 		return nil
 	}
-	if *streamOut != "" {
-		cfg := harness.Config{
-			Seeds: []int64{*seed},
-			Scale: *scale,
-			Obs:   reg,
-			Logf:  logf,
-		}
-		sum, err := harness.BuildStreamBenchSummary(cfg, *streamBench, nil)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*streamOut)
-		if err != nil {
-			return err
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %s sweep over %d shard counts, parity %v (schema %s, scale %d, seed %d)\n",
-			*streamOut, sum.Benchmark, len(sum.Runs), sum.Parity, sum.Schema, sum.Scale, sum.Seed)
-		if !sum.Parity {
-			return fmt.Errorf("streaming detection lost parity with batch (see %s)", *streamOut)
-		}
-		if *streamBaseline != "" {
-			base, err := harness.ReadStreamSummary(*streamBaseline)
-			if err != nil {
-				return err
-			}
-			if err := harness.CompareStreamSummaries(base, sum); err != nil {
-				return fmt.Errorf("stream baseline %s: %w", *streamBaseline, err)
-			}
-			log.Info("stream artifact matches baseline", "baseline", *streamBaseline)
-		}
-		return nil
-	}
-	if *collectorOut != "" {
-		cfg := harness.Config{
-			Seeds: []int64{*seed},
-			Scale: *scale,
-			Obs:   reg,
-			Logf:  logf,
-		}
-		sum, err := harness.BuildCollectorBenchSummary(cfg, *collectorProducers)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*collectorOut)
-		if err != nil {
-			return err
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s: %d producers, %d fleet races (%d confirmed), parity %v (schema %s, scale %d)\n",
-			*collectorOut, len(sum.Producers), sum.FleetRaces, sum.FleetConfirmed, sum.Parity, sum.Schema, sum.Scale)
-		if !sum.Parity {
-			return fmt.Errorf("collector reports lost parity with offline detection (see %s)", *collectorOut)
-		}
-		if *collectorBaseline != "" {
-			base, err := harness.ReadCollectorSummary(*collectorBaseline)
-			if err != nil {
-				return err
-			}
-			if err := harness.CompareCollectorSummaries(base, sum); err != nil {
-				return fmt.Errorf("collector baseline %s: %w", *collectorBaseline, err)
-			}
-			log.Info("collector artifact matches baseline", "baseline", *collectorBaseline)
-		}
-		return nil
-	}
 	if *soakOut != "" {
-		sum, err := harness.BuildSoakSummary(harness.SoakConfig{
-			Producers:      *soakProducers,
-			Duration:       time.Duration(*soakSeconds * float64(time.Second)),
-			SampleInterval: *soakInterval,
-			MinSamples:     *soakMinSamples,
-			Scale:          *scale,
-			Logf:           logf,
-		})
+		sum, err := harness.BuildSoakSummary(harness.SoakConfig{Scale: *scale, Logf: logf})
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*soakOut)
-		if err != nil {
-			return err
-		}
-		if err := sum.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtifact(*soakOut, sum); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s: %d shipments by %d producers over %.0fs, %d kills, %d series, pass %v (schema %s)\n",
@@ -935,16 +819,6 @@ func cmdBench(args []string) error {
 		if !sum.Pass {
 			return fmt.Errorf("soak gates failed: samples_ok=%v bounded_heap=%v bounded_backlog=%v shipments_ok=%v (see %s)",
 				sum.SamplesOK, sum.BoundedHeap, sum.BoundedBacklog, sum.ShipmentsOK, *soakOut)
-		}
-		if *soakBaseline != "" {
-			base, err := harness.ReadSoakSummary(*soakBaseline)
-			if err != nil {
-				return err
-			}
-			if err := harness.CompareSoakSummaries(base, sum); err != nil {
-				return fmt.Errorf("soak baseline %s: %w", *soakBaseline, err)
-			}
-			log.Info("soak artifact matches baseline", "baseline", *soakBaseline)
 		}
 		return nil
 	}
@@ -976,4 +850,15 @@ func cmdBench(args []string) error {
 		b.Name, *samplerName, res.EffectiveRate*100, res.Meta.MemOps)
 	fmt.Print(rep.String())
 	return nil
+}
+
+// writeArtifact writes a bench summary as indented JSON ending in a
+// newline. Struct field order is fixed, so equal summaries produce
+// identical bytes.
+func writeArtifact(path string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o666)
 }

@@ -165,6 +165,11 @@ func TestCollectorShipParity(t *testing.T) {
 	if fleet.Unconfirmed != 0 {
 		t.Fatalf("healthy fleet has %d unconfirmed races", fleet.Unconfirmed)
 	}
+	// dryad races, so the parity above is not vacuous, and a healthy
+	// fleet confirms every race it rolls up.
+	if len(fleet.Races) == 0 || fleet.Confirmed != len(fleet.Races) {
+		t.Fatalf("fleet rollup: %d races, %d confirmed", len(fleet.Races), fleet.Confirmed)
+	}
 }
 
 // TestCollectorResumeAfterDrop kills the transport mid-stream on every

@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"encoding/json"
-	"io"
-
-	"literace/internal/workloads"
-)
+import "literace/internal/workloads"
 
 // OverheadSummarySchema versions the BENCH_overhead.json layout; bump it
 // when a field changes meaning, never silently.
@@ -40,8 +35,8 @@ type OverheadSampler struct {
 
 // OverheadSummary is the machine-readable benchmark artifact written by
 // `literace bench -overhead-out` (and uploaded by CI). For a fixed
-// (scale, seed) the interpreter is deterministic, so every field except
-// nothing — the schema deliberately excludes wall-clock — reproduces
+// (scale, seed) the interpreter is deterministic and the schema
+// deliberately excludes wall-clock, so every field reproduces
 // bit-for-bit across runs and machines.
 type OverheadSummary struct {
 	Schema     string              `json:"schema"`
@@ -112,18 +107,4 @@ func BuildOverheadSummary(cfg Config) (*OverheadSummary, error) {
 		})
 	}
 	return sum, nil
-}
-
-// WriteJSON encodes the summary as stable, indented JSON: struct field
-// order is fixed, benchmark order follows the workload registry, and
-// sampler order follows the Table 3 registry, so equal inputs produce
-// identical bytes.
-func (s *OverheadSummary) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

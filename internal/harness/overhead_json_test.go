@@ -38,12 +38,12 @@ func TestOverheadSummaryStable(t *testing.T) {
 		}
 	}
 
-	var a bytes.Buffer
-	if err := sum.WriteJSON(&a); err != nil {
+	a, err := json.Marshal(sum)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded OverheadSummary
-	if err := json.Unmarshal(a.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(a, &decoded); err != nil {
 		t.Fatalf("artifact not valid JSON: %v", err)
 	}
 
@@ -51,11 +51,11 @@ func TestOverheadSummaryStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b2 bytes.Buffer
-	if err := sum2.WriteJSON(&b2); err != nil {
+	b2, err := json.Marshal(sum2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(a, b2) {
 		t.Error("artifact not byte-stable across identical runs")
 	}
 }

@@ -99,6 +99,52 @@ func RunComparison(b workloads.Benchmark, seed int64, cfg Config) (*ComparisonRu
 func RunComparisonWith(b workloads.Benchmark, seed int64, cfg Config, shadows []sampler.Strategy) (*ComparisonRun, error) {
 	cfg.setDefaults()
 	span := cfg.Obs.StartSpan(fmt.Sprintf("harness.compare.%s.seed%d", b.Key, seed))
+	data, err := traceBytes(b, seed, cfg, shadows)
+	if err != nil {
+		return nil, err
+	}
+	log, err := trace.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+
+	out := &ComparisonRun{
+		Benchmark: b, Seed: seed, Meta: log.Meta,
+		BySampler: make(map[string]*race.Set, len(shadows)),
+		Rates:     make(map[string]float64, len(shadows)),
+	}
+
+	// Ground truth: every logged access.
+	full, err := hb.Detect(log, hb.Options{SamplerBit: hb.AllEvents, Obs: cfg.Obs})
+	if err != nil {
+		return nil, err
+	}
+	out.Truth = race.NewSet()
+	out.Truth.AddResult(full)
+	out.RareTruth, out.FreqTruth = out.Truth.Split(out.NonStackMemOps())
+
+	for i, s := range shadows {
+		dres, err := hb.Detect(log, hb.Options{SamplerBit: i, Obs: cfg.Obs})
+		if err != nil {
+			return nil, err
+		}
+		set := race.NewSet()
+		set.AddResult(dres)
+		out.BySampler[s.Name()] = set
+		out.Rates[s.Name()] = log.Meta.EffectiveRate(i)
+		cfg.Obs.Gauge(fmt.Sprintf("harness.esr.%s.seed%d.%s", b.Key, seed, s.Name())).Set(out.Rates[s.Name()])
+	}
+	span.EndItems(log.Meta.Instrs)
+	cfg.logf("compared %s seed %d: %d races (%d rare), %d mem ops",
+		b.Key, seed, out.Truth.Len(), len(out.RareTruth), log.Meta.MemOps)
+	return out, nil
+}
+
+// traceBytes executes b once under full logging — an always-on primary
+// logs every memory and sync operation, and each shadow sampler's
+// dispatch decision is recorded as a mask bit — and returns the encoded
+// log. cfg must already carry its defaults.
+func traceBytes(b workloads.Benchmark, seed int64, cfg Config, shadows []sampler.Strategy) ([]byte, error) {
 	mod, err := b.Module(cfg.Scale)
 	if err != nil {
 		return nil, err
@@ -107,7 +153,6 @@ func RunComparisonWith(b workloads.Benchmark, seed int64, cfg Config, shadows []
 	if err != nil {
 		return nil, err
 	}
-
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf)
 	if err != nil {
@@ -140,42 +185,7 @@ func RunComparisonWith(b workloads.Benchmark, seed int64, cfg Config, shadows []
 		return nil, err
 	}
 	rt.PublishESR(res.MemOps)
-	log, err := trace.ReadAll(&buf)
-	if err != nil {
-		return nil, err
-	}
-	buf.Reset()
-
-	out := &ComparisonRun{
-		Benchmark: b, Seed: seed, Meta: log.Meta,
-		BySampler: make(map[string]*race.Set, len(shadows)),
-		Rates:     make(map[string]float64, len(shadows)),
-	}
-
-	// Ground truth: every logged access.
-	full, err := hb.Detect(log, hb.Options{SamplerBit: hb.AllEvents, Obs: cfg.Obs})
-	if err != nil {
-		return nil, err
-	}
-	out.Truth = race.NewSet()
-	out.Truth.AddResult(full)
-	out.RareTruth, out.FreqTruth = out.Truth.Split(out.NonStackMemOps())
-
-	for i, s := range shadows {
-		dres, err := hb.Detect(log, hb.Options{SamplerBit: i, Obs: cfg.Obs})
-		if err != nil {
-			return nil, err
-		}
-		set := race.NewSet()
-		set.AddResult(dres)
-		out.BySampler[s.Name()] = set
-		out.Rates[s.Name()] = log.Meta.EffectiveRate(i)
-		cfg.Obs.Gauge(fmt.Sprintf("harness.esr.%s.seed%d.%s", b.Key, seed, s.Name())).Set(out.Rates[s.Name()])
-	}
-	span.EndItems(log.Meta.Instrs)
-	cfg.logf("compared %s seed %d: %d races (%d rare), %d mem ops",
-		b.Key, seed, out.Truth.Len(), len(out.RareTruth), log.Meta.MemOps)
-	return out, nil
+	return buf.Bytes(), nil
 }
 
 // OverheadMode selects an instrumentation configuration of the §5.4

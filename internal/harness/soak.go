@@ -1,20 +1,14 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"os"
-	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"literace/internal/collector"
 	"literace/internal/obs"
-	"literace/internal/obs/ledger"
 	"literace/internal/obs/tsdb"
 	"literace/internal/trace/faultinject"
 	"literace/internal/workloads"
@@ -24,8 +18,8 @@ import (
 // changes meaning, never silently.
 const SoakSchema = "literace.bench.soak/v1"
 
-// Soak defaults. The CI gate runs the 30-second shape; unit tests
-// shrink everything.
+// Soak defaults and fixed gate bounds. The CI gate runs the 30-second
+// shape; unit tests shrink the first four through SoakConfig.
 const (
 	DefaultSoakProducers  = 8
 	DefaultSoakDuration   = 30 * time.Second
@@ -45,6 +39,11 @@ const (
 	// mark (events buffered awaiting merge across all sessions).
 	DefaultBacklogMax = 4 << 20
 )
+
+// soakWorkloads is the shipment rotation: producer w's cycle c ships
+// soakWorkloads[(w+c)%len], so the fleet mixes racy and race-free logs
+// deterministically.
+var soakWorkloads = []string{"dryad", "lkrhash", "concrt-msg", "lflist"}
 
 // soakTrackedSeries are the series every soak must sample and gate on;
 // their presence with >= MinSamples points is itself a gate (a sampler
@@ -71,15 +70,8 @@ type SoakConfig struct {
 	SampleInterval time.Duration
 	// MinSamples is the per-tracked-series sample floor gate. 0 = 50.
 	MinSamples int
-	// KillEvery faults every Nth shipment cycle (see
-	// DefaultSoakKillEvery). 0 = default; negative disables faults.
-	KillEvery int
 	// Scale multiplies workload sizes when generating the shipped logs.
 	Scale int
-	// HeapGrowthMax and BacklogMax override the bounded-memory and
-	// bounded-backlog gates. 0 = defaults.
-	HeapGrowthMax float64
-	BacklogMax    float64
 	// Logf, when non-nil, receives progress lines (stderr, never stdout).
 	Logf func(format string, args ...any)
 }
@@ -97,15 +89,6 @@ func (c *SoakConfig) setDefaults() {
 	if c.MinSamples <= 0 {
 		c.MinSamples = DefaultSoakMinSamples
 	}
-	if c.KillEvery == 0 {
-		c.KillEvery = DefaultSoakKillEvery
-	}
-	if c.HeapGrowthMax <= 0 {
-		c.HeapGrowthMax = DefaultHeapGrowthMax
-	}
-	if c.BacklogMax <= 0 {
-		c.BacklogMax = DefaultBacklogMax
-	}
 }
 
 func (c *SoakConfig) logf(format string, args ...any) {
@@ -116,7 +99,7 @@ func (c *SoakConfig) logf(format string, args ...any) {
 
 // SoakSeries is one tracked series' rollup in the artifact. Name and
 // Kind are deterministic; the statistics are machine-dependent and
-// informational (the gates they feed are what the baseline compares).
+// informational (the gates they feed decide the exit code).
 type SoakSeries struct {
 	Name       string  `json:"name"`
 	Kind       string  `json:"kind"`
@@ -142,7 +125,7 @@ type SoakSummary struct {
 	SampleIntervalMS float64 `json:"sample_interval_ms"`
 	Scale            int     `json:"scale"`
 	MinSamples       int     `json:"min_samples"`
-	// Workloads is the shipment rotation (same as the collector bench).
+	// Workloads is the shipment rotation.
 	Workloads []string `json:"workloads"`
 
 	// Gates. All four must hold for the soak to pass; Pass is their
@@ -168,20 +151,20 @@ type SoakSummary struct {
 	WallNanos   int64  `json:"wall_nanos"`
 }
 
-// soakFaults wraps every Nth shipment's connections: cycle%KillEvery==0
-// gets a mid-stream kill (the connection dies after ~a third of the
-// log, forcing park -> resume from the collector's offset), and every
-// second faulted cycle additionally fragments writes and flips bits so
-// the salvage path stays hot.
-func soakFaults(cfg SoakConfig, worker, cycle, logLen int) func(net.Conn) net.Conn {
-	if cfg.KillEvery < 0 || (cycle+worker)%cfg.KillEvery != 0 {
+// soakFaults wraps every Nth shipment's connections, N being
+// DefaultSoakKillEvery: such a cycle gets a mid-stream kill (the
+// connection dies after ~a third of the log, forcing park -> resume from
+// the collector's offset), and every second faulted cycle additionally
+// fragments writes and flips bits so the salvage path stays hot.
+func soakFaults(worker, cycle, logLen int) func(net.Conn) net.Conn {
+	if (cycle+worker)%DefaultSoakKillEvery != 0 {
 		return nil
 	}
 	nf := faultinject.NetFaults{
 		DropAfter: int64(logLen/3 + worker*1021),
 		Seed:      int64(worker*100003 + cycle),
 	}
-	if (cycle+worker)%(2*cfg.KillEvery) == 0 {
+	if (cycle+worker)%(2*DefaultSoakKillEvery) == 0 {
 		nf.MaxWrite = 1024
 		nf.FlipBitEvery = 256 << 10
 	}
@@ -191,7 +174,7 @@ func soakFaults(cfg SoakConfig, worker, cycle, logLen int) func(net.Conn) net.Co
 // BuildSoakSummary runs the soak: an in-process collector with a wired
 // time-series store, Producers worker loops shipping workload logs
 // under unique per-cycle producer names (with kills and fault injection
-// per KillEvery) until Duration elapses, then gates on the recorded
+// per soakFaults) until Duration elapses, then gates on the recorded
 // history. The summary reports gate outcomes rather than failing, so
 // callers can write the artifact before deciding the exit code.
 func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
@@ -199,13 +182,13 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 	hcfg := Config{Scale: cfg.Scale}
 	hcfg.setDefaults()
 
-	logs := make(map[string][]byte, len(collectorBenchKeys))
-	for _, key := range collectorBenchKeys {
+	logs := make(map[string][]byte, len(soakWorkloads))
+	for _, key := range soakWorkloads {
 		b, ok := workloads.ByKey(key)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown benchmark %q", key)
 		}
-		data, err := traceBytes(b, 1, hcfg)
+		data, err := traceBytes(b, 1, hcfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("harness: tracing %s: %w", key, err)
 		}
@@ -246,7 +229,7 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 			preg := obs.New()
 			cycles := preg.Counter("soak.cycles")
 			for cycle := 0; time.Now().Before(deadline); cycle++ {
-				key := collectorBenchKeys[(w+cycle)%len(collectorBenchKeys)]
+				key := soakWorkloads[(w+cycle)%len(soakWorkloads)]
 				data := logs[key]
 				opts := collector.ShipOptions{
 					Addr:              lis.Addr().String(),
@@ -258,7 +241,7 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 					Telemetry:         preg,
 					TelemetryInterval: cfg.SampleInterval,
 				}
-				if wrap := soakFaults(cfg, w, cycle, len(data)); wrap != nil {
+				if wrap := soakFaults(w, cycle, len(data)); wrap != nil {
 					opts.WrapConn = wrap
 					kills.Add(1)
 				}
@@ -288,7 +271,7 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 		SampleIntervalMS: float64(cfg.SampleInterval) / float64(time.Millisecond),
 		Scale:            cfg.Scale,
 		MinSamples:       cfg.MinSamples,
-		Workloads:        append([]string(nil), collectorBenchKeys...),
+		Workloads:        append([]string(nil), soakWorkloads...),
 		SamplesOK:        true,
 		BoundedHeap:      true,
 		BoundedBacklog:   true,
@@ -326,14 +309,14 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 		}
 		switch tr.name {
 		case "proc.heap_bytes":
-			if gf := row.GrowthFrac; gf > cfg.HeapGrowthMax {
+			if gf := row.GrowthFrac; gf > DefaultHeapGrowthMax {
 				sum.BoundedHeap = false
-				cfg.logf("soak gate: heap growth fraction %.2f exceeds %.2f", gf, cfg.HeapGrowthMax)
+				cfg.logf("soak gate: heap growth fraction %.2f exceeds %.2f", gf, DefaultHeapGrowthMax)
 			}
 		case "collector.backlog":
-			if row.Max > cfg.BacklogMax {
+			if row.Max > DefaultBacklogMax {
 				sum.BoundedBacklog = false
-				cfg.logf("soak gate: backlog high-water %.0f exceeds %.0f", row.Max, cfg.BacklogMax)
+				cfg.logf("soak gate: backlog high-water %.0f exceeds %.0f", row.Max, float64(DefaultBacklogMax))
 			}
 		}
 	}
@@ -342,70 +325,4 @@ func BuildSoakSummary(cfg SoakConfig) (*SoakSummary, error) {
 	cfg.logf("soak: %d shipments (%d killed) by %d producers in %s; %d sheds, %d disconnects, %d retired; pass=%v",
 		sum.Shipments, sum.Kills, cfg.Producers, wall.Round(time.Millisecond), sum.Sheds, sum.Disconnects, sum.Retired, sum.Pass)
 	return sum, nil
-}
-
-// WriteJSON encodes the summary as stable, indented JSON.
-func (s *SoakSummary) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadSoakSummary loads a BENCH_soak.json artifact from disk.
-func ReadSoakSummary(path string) (*SoakSummary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s := &SoakSummary{}
-	if err := json.Unmarshal(data, s); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	if s.Schema != SoakSchema {
-		return nil, fmt.Errorf("harness: %s: schema %q, want %q", path, s.Schema, SoakSchema)
-	}
-	return s, nil
-}
-
-// CompareSoakSummaries checks the deterministic fields of a fresh soak
-// against a committed baseline: the config echo, the tracked-series
-// identity (names and kinds), and every gate boolean are exact; sample
-// statistics and churn totals are machine-dependent and ignored. A
-// mismatch returns an error wrapping ledger.ErrDriftExceeded so callers
-// map it to the drift exit code.
-func CompareSoakSummaries(base, cur *SoakSummary) error {
-	var drifts []string
-	chk := func(name string, a, b any) {
-		if !reflect.DeepEqual(a, b) {
-			drifts = append(drifts, fmt.Sprintf("%s: baseline %v, current %v", name, a, b))
-		}
-	}
-	chk("schema", base.Schema, cur.Schema)
-	chk("producers", base.Producers, cur.Producers)
-	chk("duration_secs", base.DurationSecs, cur.DurationSecs)
-	chk("sample_interval_ms", base.SampleIntervalMS, cur.SampleIntervalMS)
-	chk("scale", base.Scale, cur.Scale)
-	chk("min_samples", base.MinSamples, cur.MinSamples)
-	chk("workloads", base.Workloads, cur.Workloads)
-	chk("samples_ok", base.SamplesOK, cur.SamplesOK)
-	chk("bounded_heap", base.BoundedHeap, cur.BoundedHeap)
-	chk("bounded_backlog", base.BoundedBacklog, cur.BoundedBacklog)
-	chk("shipments_ok", base.ShipmentsOK, cur.ShipmentsOK)
-	chk("pass", base.Pass, cur.Pass)
-	if len(base.Series) != len(cur.Series) {
-		drifts = append(drifts, fmt.Sprintf("series: baseline %d, current %d", len(base.Series), len(cur.Series)))
-	} else {
-		for i := range base.Series {
-			chk(fmt.Sprintf("series[%d].name", i), base.Series[i].Name, cur.Series[i].Name)
-			chk(fmt.Sprintf("series[%d].kind", i), base.Series[i].Kind, cur.Series[i].Kind)
-		}
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("%w: soak drift: %s", ledger.ErrDriftExceeded, strings.Join(drifts, "; "))
-	}
-	return nil
 }

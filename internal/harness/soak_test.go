@@ -1,15 +1,8 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
-
-	"literace/internal/obs/ledger"
 )
 
 // TestSoakShortRun is a miniature soak: 3 producers for ~2 seconds with
@@ -46,65 +39,4 @@ func TestSoakShortRun(t *testing.T) {
 		t.Errorf("store holds %d series; expected fleet.* telemetry beyond the %d tracked",
 			sum.TotalSeries, len(soakTrackedSeries))
 	}
-
-	// Round-trip through the artifact file and the drift gate.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_soak.json")
-	var buf bytes.Buffer
-	if err := sum.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSoakSummary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompareSoakSummaries(back, sum); err != nil {
-		t.Errorf("self-compare drifted: %v", err)
-	}
-}
-
-// TestCompareSoakSummariesDrift checks the gate trips on deterministic
-// fields and wraps the sentinel drift error.
-func TestCompareSoakSummariesDrift(t *testing.T) {
-	base := &SoakSummary{
-		Schema: SoakSchema, Producers: 8, DurationSecs: 30, SampleIntervalMS: 250,
-		MinSamples: 50, Workloads: []string{"dryad"},
-		SamplesOK: true, BoundedHeap: true, BoundedBacklog: true, ShipmentsOK: true, Pass: true,
-		Series: []SoakSeries{{Name: "proc.heap_bytes", Kind: "gauge", Samples: 120, Mean: 1e6}},
-	}
-	cur := &SoakSummary{}
-	if err := json.Unmarshal(mustJSON(t, base), cur); err != nil {
-		t.Fatal(err)
-	}
-	// Informational wobble must NOT drift.
-	cur.Series[0].Samples = 119
-	cur.Series[0].Mean = 2e6
-	cur.Shipments = 999
-	if err := CompareSoakSummaries(base, cur); err != nil {
-		t.Errorf("informational fields tripped the gate: %v", err)
-	}
-	// A failed gate must.
-	cur.BoundedHeap = false
-	err := CompareSoakSummaries(base, cur)
-	if !errors.Is(err, ledger.ErrDriftExceeded) {
-		t.Errorf("gate flip: got %v, want ErrDriftExceeded", err)
-	}
-	// So must a renamed series.
-	cur.BoundedHeap = true
-	cur.Series[0].Name = "proc.heap"
-	if err := CompareSoakSummaries(base, cur); !errors.Is(err, ledger.ErrDriftExceeded) {
-		t.Errorf("series rename: got %v, want ErrDriftExceeded", err)
-	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

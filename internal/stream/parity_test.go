@@ -265,6 +265,9 @@ func TestStreamShardCountInvariance(t *testing.T) {
 	b := mustBench(t, "apache-1")
 	data := genLog(t, b, 1, 1)
 	base := runPipeline(t, data, 1, []int{0})
+	if len(base.Races) == 0 {
+		t.Fatal("apache-1 produced no races; the invariance check is vacuous")
+	}
 	for _, shards := range []int{2, 3, 8} {
 		got := runPipeline(t, data, shards, []int{0})
 		if !reflect.DeepEqual(got.Races, base.Races) {
