@@ -244,20 +244,15 @@ func Build(data []byte, opts Options) ([]byte, *Stats, error) {
 	return buf, stats, nil
 }
 
-// decode reads the log strictly, falling back to (or forced into)
-// salvage decoding.
+// decode salvage-decodes the log once: a log that lost nothing is what
+// a strict read would return, so only forced or lossy decodes count as
+// salvaged.
 func decode(data []byte, opts Options, stats *Stats) (*trace.Log, error) {
-	if !opts.Salvage {
-		log, err := trace.ReadAll(bytes.NewReader(data))
-		if err == nil {
-			return log, nil
-		}
-	}
 	log, rep, err := trace.Salvage(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("timeline: decode: %w", err)
 	}
-	stats.Salvaged = true
+	stats.Salvaged = opts.Salvage || rep.Lossy()
 	stats.Degraded = rep.Lossy()
 	return log, nil
 }

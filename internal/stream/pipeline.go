@@ -1,7 +1,7 @@
 // Package stream is the online detection pipeline: it analyzes an LTRC2
 // event log while the log is still being written. Four layers compose:
-// an incremental chunk decoder (trace.Stream) tails the growing byte
-// stream; the shared ready-queue merge engine (hb.Merger) reconstructs a
+// the log's one chunk decoder (trace.Stream, which trace.ReadAll and
+// trace.Salvage also run) tails the growing byte stream; the shared ready-queue merge engine (hb.Merger) reconstructs a
 // legal global order from the chunks as they arrive; a single-threaded
 // clock engine (hb.ClockEngine) applies synchronization events to
 // per-thread vector clocks; and sampled memory accesses fan out to
@@ -11,9 +11,10 @@
 //
 // The pipeline's result is identical, race for race and in the same
 // order, to a batch trace.ReadAll/Salvage + hb.Detect/DetectDegraded
-// pass over the same bytes. That holds by construction: batch replay and
-// this pipeline feed the same chunk sequence (the log's byte order)
-// through the same hb.Merger, the clock engine is the hb.ClockEngine the
+// pass over the same bytes. That holds by construction: batch decoding
+// and this pipeline accept chunks with the same trace.Stream, batch
+// replay and this pipeline feed the same chunk sequence (the log's byte
+// order) through the same hb.Merger, the clock engine is the hb.ClockEngine the
 // batch detector runs, and each address's accesses reach exactly one
 // shard in replay order, so every happens-before judgment
 // compares the same clocks. A global dispatch ordinal restores the

@@ -33,7 +33,7 @@ import (
 //
 // The CRC32 (IEEE, little-endian) covers the tag and length varints plus
 // the payload, so any corruption inside a chunk is detectable, and the
-// marker gives the salvage decoder a resynchronization point after
+// marker gives the decoder a resynchronization point after
 // corruption. Per-thread sequence numbers make dropped or duplicated
 // chunks detectable. Checkpoints carry the run counters accumulated so
 // far, so a log truncated by a crash still has usable metadata.
@@ -64,7 +64,7 @@ const (
 	checkpointInterval = 1 << 16
 )
 
-// chunkMarker precedes every LTRC2 chunk; the salvage decoder scans for
+// chunkMarker precedes every LTRC2 chunk; the decoder scans for
 // it to resynchronize after corruption.
 var chunkMarker = [4]byte{0xF7, 'L', 'T', '2'}
 
@@ -382,6 +382,17 @@ type Log struct {
 	ChunkOrder []ChunkRef
 }
 
+// markDegraded marks tid suspect from its current end of stream on,
+// unless an earlier loss already marked it.
+func (l *Log) markDegraded(tid int32) {
+	if l.Degraded == nil {
+		l.Degraded = make(map[int32]int)
+	}
+	if _, ok := l.Degraded[tid]; !ok {
+		l.Degraded[tid] = len(l.Threads[tid])
+	}
+}
+
 // ChunkRef locates one thread chunk within Log.ChunkOrder: the next N
 // events of thread TID.
 type ChunkRef struct {
@@ -414,97 +425,16 @@ func (l *Log) TIDs() []int32 {
 
 // ReadAll decodes a complete log from r: LTRC2 (with every CRC, sequence
 // number, and the metadata trailer verified) or the legacy LTRC1 format.
-// Any truncation, corruption, or gap is an error; use Salvage to extract
+// It is the salvage decoder plus one rule: a log that salvage could not
+// recover in full is an error naming the damage. Use Salvage to extract
 // a best-effort log from damaged input.
 func ReadAll(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	log, rep, err := decode(r)
+	if err != nil {
+		return nil, err
 	}
-	switch string(got) {
-	case magic:
-		return readAllV2(br)
-	case magicV1:
-		return readAllV1(br)
-	}
-	return nil, fmt.Errorf("trace: bad magic %q", got)
-}
-
-// readAllV2 strictly decodes the LTRC2 chunk stream.
-func readAllV2(br *bufio.Reader) (*Log, error) {
-	log := &Log{Threads: make(map[int32][]Event)}
-	sawMeta := false
-	lastSeq := make(map[int32]uint64)
-	for {
-		var mk [4]byte
-		if _, err := io.ReadFull(br, mk[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace: reading chunk marker: %w", err)
-		}
-		if mk != chunkMarker {
-			return nil, fmt.Errorf("trace: bad chunk marker % x", mk[:])
-		}
-		tag, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk tag: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk size: %w", err)
-		}
-		if size > maxChunkLen {
-			return nil, fmt.Errorf("trace: chunk length %d exceeds limit %d", size, maxChunkLen)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("trace: reading chunk payload: %w", err)
-		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading chunk crc: %w", err)
-		}
-		if got, want := binary.LittleEndian.Uint32(crcb[:]), chunkCRC(tag, payload); got != want {
-			return nil, fmt.Errorf("trace: chunk crc mismatch (have %#x, want %#x)", got, want)
-		}
-		switch {
-		case tag == tagMeta:
-			if err := json.Unmarshal(payload, &log.Meta); err != nil {
-				return nil, fmt.Errorf("trace: decoding meta: %w", err)
-			}
-			sawMeta = true
-		case tag == tagCheckpoint:
-			// Checkpoints only matter for salvage; a complete log carries
-			// its trailer, so validate the JSON and move on.
-			var ckpt Meta
-			if err := json.Unmarshal(payload, &ckpt); err != nil {
-				return nil, fmt.Errorf("trace: decoding checkpoint: %w", err)
-			}
-		default:
-			tid := int32(uint32(tag - tagThreadBase))
-			seq, rest, err := takeUvarint(payload)
-			if err != nil {
-				return nil, fmt.Errorf("trace: thread %d chunk sequence: %w", tid, err)
-			}
-			if seq != lastSeq[tid]+1 {
-				return nil, fmt.Errorf("trace: thread %d chunk sequence gap (have %d, want %d)",
-					tid, seq, lastSeq[tid]+1)
-			}
-			lastSeq[tid] = seq
-			evs, err := decodeEvents(tid, rest)
-			if err != nil {
-				return nil, err
-			}
-			log.Threads[tid] = append(log.Threads[tid], evs...)
-			if len(evs) > 0 {
-				log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-			}
-		}
-	}
-	if !sawMeta {
-		return nil, errors.New("trace: truncated log: no metadata trailer")
+	if rep.Lossy() {
+		return nil, fmt.Errorf("trace: damaged log (%s)", rep.Summary())
 	}
 	return log, nil
 }
@@ -519,92 +449,10 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// readAllV1 decodes the legacy LTRC1 chunk stream.
-func readAllV1(br *bufio.Reader) (*Log, error) {
-	log := &Log{Threads: make(map[int32][]Event)}
-	sawMeta := false
-	for {
-		tag, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk tag: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk size: %w", err)
-		}
-		payload, err := readPayload(br, size)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading chunk payload: %w", err)
-		}
-		if tag == 0 {
-			if err := json.Unmarshal(payload, &log.Meta); err != nil {
-				return nil, fmt.Errorf("trace: decoding meta: %w", err)
-			}
-			sawMeta = true
-			continue
-		}
-		tid := int32(uint32(tag - 1))
-		evs, err := decodeEvents(tid, payload)
-		if err != nil {
-			return nil, err
-		}
-		log.Threads[tid] = append(log.Threads[tid], evs...)
-		if len(evs) > 0 {
-			log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-		}
-	}
-	if !sawMeta {
-		return nil, errors.New("trace: truncated log: no metadata trailer")
-	}
-	return log, nil
-}
-
-// readPayload reads size bytes in bounded steps, so a corrupt length
-// uvarint claiming gigabytes allocates no more than roughly what the
-// input actually contains before failing at EOF.
-func readPayload(r io.Reader, size uint64) ([]byte, error) {
-	const step = 64 << 10
-	if size <= step {
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, step)
-	for remaining := size; remaining > 0; {
-		n := uint64(step)
-		if remaining < n {
-			n = remaining
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
-		}
-		remaining -= n
-	}
-	return buf, nil
-}
-
-func decodeEvents(tid int32, payload []byte) ([]Event, error) {
-	evs, n, err := decodeEventsPrefix(tid, payload)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(payload) {
-		return nil, errors.New("trace: trailing bytes after events")
-	}
-	return evs, nil
-}
-
 // decodeEventsPrefix decodes as many complete events as payload holds,
 // returning them alongside the number of bytes consumed. A decode failure
 // returns the events decoded so far, the offset of the bad event, and the
-// error; the salvage decoder keeps the prefix.
+// error; the decoders keep the prefix.
 func decodeEventsPrefix(tid int32, payload []byte) ([]Event, int, error) {
 	var evs []Event
 	total := len(payload)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -56,8 +57,8 @@ func FuzzReadAll(f *testing.F) {
 
 // FuzzSalvage checks the salvage decoder never panics and keeps its
 // documented guarantees on arbitrary bytes: exact byte accounting, events
-// only with in-range kinds and ops, and strict-decodable logs salvaged
-// without loss.
+// only with in-range kinds and ops, and strict decoding succeeding
+// exactly when salvage loses nothing, with the same log.
 func FuzzSalvage(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -113,13 +114,21 @@ func FuzzSalvage(f *testing.F) {
 		if n != rep.EventsSalvaged {
 			t.Fatalf("EventsSalvaged = %d, log holds %d", rep.EventsSalvaged, n)
 		}
-		// Anything strict decoding accepts, salvage must recover in full.
-		if strict, serr := ReadAll(bytes.NewReader(data)); serr == nil {
-			if rep.Lossy() {
-				t.Fatalf("strict-valid log reported lossy: %s", rep.Summary())
+		// Strict decoding accepts exactly the logs salvage recovers without
+		// loss, and then returns the same log.
+		strict, serr := ReadAll(bytes.NewReader(data))
+		if (serr == nil) == rep.Lossy() {
+			t.Fatalf("ReadAll err %v, salvage %s", serr, rep.Summary())
+		}
+		if serr == nil {
+			if !reflect.DeepEqual(strict.Threads, log.Threads) {
+				t.Fatalf("strict and salvage decodes hold different events")
 			}
-			if strict.NumEvents() != n {
-				t.Fatalf("salvage got %d events, strict decode %d", n, strict.NumEvents())
+			if !reflect.DeepEqual(strict.ChunkOrder, log.ChunkOrder) {
+				t.Fatalf("strict chunk order %v, salvage %v", strict.ChunkOrder, log.ChunkOrder)
+			}
+			if !reflect.DeepEqual(strict.Meta, log.Meta) {
+				t.Fatalf("strict meta %+v, salvage %+v", strict.Meta, log.Meta)
 			}
 		}
 	})

@@ -66,8 +66,9 @@ type SalvageReport struct {
 	Threads map[int32]*ThreadLoss `json:"threads,omitempty"`
 }
 
-// Lossy reports whether the log lost anything: a lossless salvage decodes
-// exactly what strict ReadAll would accept.
+// Lossy reports whether the log lost anything. It is ReadAll's
+// acceptance rule: a strict read succeeds exactly when salvage is not
+// lossy.
 func (r *SalvageReport) Lossy() bool {
 	return r.BytesDropped > 0 || r.ChunksDropped > 0 || r.CRCFailures > 0 ||
 		r.SeqGaps > 0 || r.Truncated || r.MetaSource != "trailer"
@@ -118,24 +119,75 @@ func Salvage(r io.Reader) (*Log, *SalvageReport, error) {
 // SalvageObs is Salvage with telemetry: when reg is non-nil it counts
 // trace.crc_failures and trace.salvaged_chunks.
 func SalvageObs(r io.Reader, reg *obs.Registry) (*Log, *SalvageReport, error) {
-	data, err := io.ReadAll(r)
+	log, rep, err := decode(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("trace: salvage: %w", err)
-	}
-	var log *Log
-	var rep *SalvageReport
-	switch {
-	case bytes.HasPrefix(data, []byte(magic)):
-		log, rep = salvageV2(data)
-	case bytes.HasPrefix(data, []byte(magicV1)):
-		log, rep = salvageV1(data)
-	default:
-		return nil, nil, fmt.Errorf("trace: salvage: not a LiteRace log (bad magic)")
+		return nil, nil, err
 	}
 	if reg != nil {
 		reg.Counter("trace.crc_failures").Add(uint64(rep.CRCFailures))
 		reg.Counter("trace.salvaged_chunks").Add(uint64(rep.ChunksOK))
 	}
+	return log, rep, nil
+}
+
+// readPiece is the size of the reads decode feeds to its Stream.
+const readPiece = 64 << 10
+
+// decode is the one batch decoder behind ReadAll and Salvage. An LTRC2
+// log is read in pieces of up to readPiece bytes, each fed to a Stream
+// as it arrives, and the Log is assembled from the chunks the Stream
+// accepts. An LTRC1 log, which a Stream cannot resynchronize, goes to
+// salvageV1 whole.
+func decode(r io.Reader) (*Log, *SalvageReport, error) {
+	log := &Log{Threads: make(map[int32][]Event)}
+	s := NewStream(func(tid int32, evs []Event, suspect bool) {
+		if suspect {
+			log.markDegraded(tid)
+		}
+		log.Threads[tid] = append(log.Threads[tid], evs...)
+		log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
+	})
+	piece := make([]byte, readPiece)
+	for {
+		n, err := r.Read(piece)
+		if n > 0 {
+			switch ferr := s.Feed(piece[:n]); {
+			case errors.Is(ferr, ErrLegacyStream):
+				// The magic is still buffered: nothing has been consumed.
+				rest, err := io.ReadAll(r)
+				if err != nil {
+					return nil, nil, fmt.Errorf("trace: reading log: %w", err)
+				}
+				log, rep := salvageV1(append(s.buf, rest...))
+				return log, rep, nil
+			case ferr != nil:
+				return nil, nil, ferr
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: reading log: %w", err)
+		}
+	}
+	rep, _ := s.Finish() // it fails only after a failed Feed, handled above
+	if !s.magicDone {
+		// Empty input or a bare prefix of the magic: a Stream forgives a
+		// producer that died there, but a file that short is no log.
+		return nil, nil, errNotALog
+	}
+	// A thread whose accepted chunks held no events still has a stream,
+	// and a loss after a thread's last accepted chunk still marks it.
+	for tid := range s.lastSeq {
+		if _, ok := log.Threads[tid]; !ok {
+			log.Threads[tid] = nil
+		}
+	}
+	for tid := range s.suspect {
+		log.markDegraded(tid)
+	}
+	log.Meta = s.Meta()
 	return log, rep, nil
 }
 
@@ -197,181 +249,6 @@ func isTruncatedVarint(b []byte) bool {
 		}
 	}
 	return true
-}
-
-func salvageV2(data []byte) (*Log, *SalvageReport) {
-	rep := &SalvageReport{
-		Format:     "LTRC2",
-		TotalBytes: int64(len(data)),
-		MagicBytes: int64(len(magic)),
-		MetaSource: "none",
-	}
-	log := &Log{Threads: make(map[int32][]Event)}
-	lastSeq := make(map[int32]uint64)
-	sawMeta := false
-	var ckpt *Meta
-	ckptAt := int64(-1)
-
-	markDegraded := func(tid int32) {
-		if log.Degraded == nil {
-			log.Degraded = make(map[int32]int)
-		}
-		if _, ok := log.Degraded[tid]; !ok {
-			log.Degraded[tid] = len(log.Threads[tid])
-		}
-	}
-	// dropTo accounts for the skipped region [from, to) and remembers the
-	// earliest damage point.
-	dropTo := func(from, to int) {
-		if to > from {
-			rep.BytesDropped += int64(to - from)
-		}
-	}
-
-	off := len(magic)
-	for off < len(data) {
-		// Resynchronize: find the next marker at or after off.
-		idx := bytes.Index(data[off:], chunkMarker[:])
-		if idx < 0 {
-			// No further chunk can start; the tail is unreadable.
-			rep.Truncated = true
-			if rep.TruncatedAt == 0 {
-				rep.TruncatedAt = int64(off)
-			}
-			dropTo(off, len(data))
-			break
-		}
-		if idx > 0 {
-			dropTo(off, off+idx)
-			off += idx
-		}
-		tag, payload, end, crcOK, err := parseChunkV2(data, off)
-		if err != nil {
-			if errors.Is(err, errTruncatedChunk) {
-				// The chunk runs off the end of the input — but a bit flip
-				// in a length field can fake that, so keep scanning for a
-				// later marker before concluding the log just ends here.
-				if next := bytes.Index(data[off+1:], chunkMarker[:]); next >= 0 {
-					rep.ChunksDropped++
-					if tag >= tagThreadBase {
-						tl := rep.thread(int32(uint32(tag - tagThreadBase)))
-						tl.DroppedChunks++
-						markDegraded(int32(uint32(tag - tagThreadBase)))
-					}
-					dropTo(off, off+1+next)
-					off += 1 + next
-					continue
-				}
-				rep.Truncated = true
-				if rep.TruncatedAt == 0 {
-					rep.TruncatedAt = int64(off)
-				}
-				dropTo(off, len(data))
-				break
-			}
-			// In-place corruption: drop the chunk (or the bytes that
-			// pretended to be one) and resync on the next marker. Never
-			// trust the corrupt frame's own length — a flipped bit there
-			// could leap over good chunks.
-			rep.ChunksDropped++
-			if !crcOK && end > off {
-				rep.CRCFailures++
-			}
-			if tag >= tagThreadBase {
-				tid := int32(uint32(tag - tagThreadBase))
-				tl := rep.thread(tid)
-				tl.DroppedChunks++
-				tl.DroppedBytes += int64(len(payload))
-				markDegraded(tid)
-			}
-			skipTo := len(data)
-			if next := bytes.Index(data[off+1:], chunkMarker[:]); next >= 0 {
-				skipTo = off + 1 + next
-			}
-			dropTo(off, skipTo)
-			off = skipTo
-			continue
-		}
-
-		// A well-formed chunk.
-		switch {
-		case tag == tagMeta:
-			if jerr := json.Unmarshal(payload, &log.Meta); jerr != nil {
-				rep.ChunksDropped++
-				dropTo(off, end)
-			} else {
-				sawMeta = true
-				rep.ChunksOK++
-				rep.BytesOK += int64(end - off)
-			}
-		case tag == tagCheckpoint:
-			var m Meta
-			if jerr := json.Unmarshal(payload, &m); jerr != nil {
-				rep.ChunksDropped++
-				dropTo(off, end)
-			} else {
-				ckpt, ckptAt = &m, int64(off)
-				rep.ChunksOK++
-				rep.BytesOK += int64(end - off)
-			}
-		default:
-			tid := int32(uint32(tag - tagThreadBase))
-			tl := rep.thread(tid)
-			seq, rest, serr := takeUvarint(payload)
-			if serr != nil {
-				rep.ChunksDropped++
-				tl.DroppedChunks++
-				tl.DroppedBytes += int64(len(payload))
-				markDegraded(tid)
-				dropTo(off, end)
-				off = end
-				continue
-			}
-			if seq <= lastSeq[tid] {
-				// Duplicate (or replayed) chunk: its content is already in
-				// the stream; keeping it would corrupt program order.
-				rep.DuplicateChunks++
-				dropTo(off, end)
-				off = end
-				continue
-			}
-			if gap := seq - lastSeq[tid] - 1; gap > 0 {
-				tl.SeqGaps += gap
-				rep.SeqGaps += gap
-				markDegraded(tid)
-			}
-			lastSeq[tid] = seq
-			evs, n, derr := decodeEventsPrefix(tid, rest)
-			tl.EventsSalvaged += len(evs)
-			rep.EventsSalvaged += len(evs)
-			log.Threads[tid] = append(log.Threads[tid], evs...)
-			if len(evs) > 0 {
-				log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-			}
-			if derr != nil {
-				// CRC-valid but undecodable tail (writer bug or a CRC
-				// collision): keep the prefix, mark the thread suspect.
-				tl.DroppedBytes += int64(len(rest) - n)
-				markDegraded(tid)
-				rep.BytesDropped += int64(len(rest) - n)
-				rep.BytesOK += int64(end-off) - int64(len(rest)-n)
-			} else {
-				rep.BytesOK += int64(end - off)
-			}
-			rep.ChunksOK++
-		}
-		off = end
-	}
-
-	switch {
-	case sawMeta:
-		rep.MetaSource = "trailer"
-	case ckpt != nil:
-		log.Meta = *ckpt
-		rep.MetaSource = "checkpoint"
-		rep.CheckpointAt = ckptAt
-	}
-	return log, rep
 }
 
 // salvageV1 decodes a legacy LTRC1 log leniently: the format has no
@@ -436,12 +313,7 @@ func salvageV1(data []byte) (*Log, *SalvageReport) {
 			// Without CRCs a bad event byte may mean anything; keep the
 			// prefix and stop trusting the remainder of the stream.
 			tl.DroppedBytes += int64(len(payload) - consumed)
-			if log.Degraded == nil {
-				log.Degraded = make(map[int32]int)
-			}
-			if _, ok := log.Degraded[tid]; !ok {
-				log.Degraded[tid] = len(log.Threads[tid])
-			}
+			log.markDegraded(tid)
 			rep.BytesOK += int64(off-start) - int64(len(payload)-consumed)
 			rep.BytesDropped += int64(len(payload) - consumed)
 			rep.Truncated = true

@@ -208,6 +208,23 @@ func TestSalvageDroppedChunkMarksDegraded(t *testing.T) {
 	if !reflect.DeepEqual(log.Threads[0][:25], want[0][:25]) {
 		t.Error("pre-gap events corrupted")
 	}
+
+	// A loss after the thread's last accepted chunk (a CRC failure on its
+	// final chunk) still marks it, at the end of its stream: the timeline
+	// draws a salvage-gap marker for every Degraded entry.
+	last := th[len(th)-1]
+	mut = append([]byte(nil), data...)
+	mut[last.End-5] ^= 0x40
+	log, rep, err = Salvage(bytes.NewReader(mut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CRCFailures != 1 {
+		t.Fatalf("want one crc failure: %s", rep.Summary())
+	}
+	if idx, ok := log.Degraded[0]; !ok || idx != 75 || len(log.Threads[0]) != 75 {
+		t.Errorf("Degraded[0] = %d, %v over %d events; want 75 (end of stream)", idx, ok, len(log.Threads[0]))
+	}
 }
 
 func TestSalvageDuplicateChunkDropped(t *testing.T) {
@@ -364,8 +381,12 @@ func TestSalvageV1(t *testing.T) {
 		t.Errorf("v1 meta: %+v", log.Meta)
 	}
 
+	// Short reads, even ones splitting the magic, change nothing.
+	checkStreamMatchesSalvage(t, data, streamSizePatterns)
+
 	// Truncations keep a per-thread prefix and never error.
 	for cut := len(magicV1); cut < len(data); cut += 7 {
+		checkStreamMatchesSalvage(t, data[:cut], [][]int{{1}, {5}})
 		log, rep, err := Salvage(bytes.NewReader(data[:cut]))
 		if err != nil {
 			t.Fatalf("v1 cut at %d: %v", cut, err)
@@ -412,9 +433,51 @@ func TestSalvageObsTelemetry(t *testing.T) {
 }
 
 func TestSalvageBadMagic(t *testing.T) {
-	for _, data := range [][]byte{nil, []byte("NOPE!\n"), []byte("LTRC3\nxxxx")} {
+	for _, data := range [][]byte{nil, []byte("LTRC"), []byte("NOPE!\n"), []byte("LTRC3\nxxxx")} {
 		if _, _, err := Salvage(bytes.NewReader(data)); err == nil {
 			t.Errorf("salvage accepted %q", data)
+		}
+		if _, _, err := salvagePieces(data, []int{1}); err == nil {
+			t.Errorf("salvage accepted %q read byte by byte", data)
+		}
+	}
+}
+
+// appendChunkV2 appends one LTRC2 chunk to out, framed as the writer
+// frames it.
+func appendChunkV2(out []byte, tag uint64, payload []byte) []byte {
+	out = append(out, chunkMarker[:]...)
+	out = binary.AppendUvarint(out, tag)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, chunkCRC(tag, payload))
+}
+
+// TestZeroEventChunkKeepsThread pins that a CRC-valid thread chunk
+// holding no events still gives its thread a (empty) stream in both
+// formats, strict and salvaged: fsck reports len(Log.Threads).
+func TestZeroEventChunkKeepsThread(t *testing.T) {
+	meta, _ := json.Marshal(Meta{Module: "empty"})
+	v2 := appendChunkV2([]byte(magic), tagThreadBase+3, binary.AppendUvarint(nil, 1))
+	v2 = appendChunkV2(v2, tagMeta, meta)
+	v1 := encodeV1(t, meta, map[int32][][]Event{3: {nil}})
+	for name, data := range map[string][]byte{"LTRC2": v2, "LTRC1": v1} {
+		log, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if evs, ok := log.Threads[3]; !ok || len(evs) != 0 || len(log.Threads) != 1 {
+			t.Errorf("%s: threads = %v, want one empty stream for tid 3", name, log.Threads)
+		}
+		if len(log.ChunkOrder) != 0 {
+			t.Errorf("%s: chunk order %v for an empty chunk", name, log.ChunkOrder)
+		}
+		slog, rep, err := Salvage(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Lossy() || !reflect.DeepEqual(slog.Threads, log.Threads) {
+			t.Errorf("%s: salvage threads %v (%s), strict %v", name, slog.Threads, rep.Summary(), log.Threads)
 		}
 	}
 }

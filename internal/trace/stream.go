@@ -11,24 +11,24 @@ import (
 // incrementally with resynchronization. Use ReadAll or Salvage instead.
 var ErrLegacyStream = errors.New("trace: stream: legacy LTRC1 log (no markers); use ReadAll or Salvage")
 
-var errStreamNotALog = errors.New("trace: stream: not a LiteRace log (bad magic)")
+var errNotALog = errors.New("trace: not a LiteRace log (bad magic)")
 
-// Stream is an incremental LTRC2 decoder: feed it the encoded log in
-// arbitrary pieces (tailing a growing file, reading a socket) and it
-// emits each accepted thread chunk as soon as the bytes for it are
-// complete. It applies exactly the salvage decoder's recovery rules —
-// marker resynchronization after corruption, CRC verification, duplicate
-// drop, sequence-gap accounting, checkpoint metadata fallback — so that
-// feeding any byte string through Feed+Finish accepts precisely the
-// chunks Salvage would accept from the same bytes, with the same
-// SalvageReport accounting. Memory stays bounded by the largest pending
-// chunk (maxChunkLen) regardless of input size.
+// Stream is the LTRC2 decoder: feed it the encoded log in arbitrary
+// pieces (tailing a growing file, reading a socket) and it emits each
+// accepted thread chunk as soon as the bytes for it are complete. It
+// owns the recovery rules — marker resynchronization after corruption,
+// CRC verification, duplicate drop, sequence-gap accounting, checkpoint
+// metadata fallback — and the SalvageReport accounting. Salvage and
+// ReadAll are this decoder fed a whole input in 64 KiB reads, so the
+// online and batch paths accept the same chunks from the same bytes by
+// construction. Memory stays bounded by the largest pending chunk
+// (maxChunkLen) regardless of input size.
 //
 // The one thing an online decoder cannot know is whether missing bytes
 // are still in flight: an incomplete chunk at the end of the buffer makes
 // Feed wait for more input, and only Finish — the caller's assertion that
-// the input is over — applies the salvage decoder's truncated-tail rules
-// to whatever remains.
+// the input is over — applies the truncated-tail rules to whatever
+// remains.
 type Stream struct {
 	// emit receives each accepted thread chunk in byte order: the chunk's
 	// decoded events and whether the thread's stream is suspect at this
@@ -46,9 +46,9 @@ type Stream struct {
 
 	// garbage tracks an active resynchronization run: bytes are being
 	// discarded while scanning for the next chunk marker. garbageTrunc
-	// distinguishes a run that began at a chunk boundary (salvage flags
-	// the tail as truncated if it never resynchronizes) from one that
-	// began inside a corrupt chunk (salvage silently skips it).
+	// distinguishes a run that began at a chunk boundary (the tail is
+	// flagged truncated if it never resynchronizes) from one that began
+	// inside a corrupt chunk (skipped silently).
 	garbage      bool
 	garbageTrunc bool
 	garbageStart int64
@@ -96,7 +96,7 @@ func (s *Stream) Feed(p []byte) error {
 		if len(s.buf) < len(magic) {
 			// Reject early when the prefix can no longer extend to a magic.
 			if !bytes.HasPrefix([]byte(magic), s.buf) && !bytes.HasPrefix([]byte(magicV1), s.buf) {
-				s.err = errStreamNotALog
+				s.err = errNotALog
 				return s.err
 			}
 			return nil
@@ -110,7 +110,7 @@ func (s *Stream) Feed(p []byte) error {
 			s.err = ErrLegacyStream
 			return s.err
 		default:
-			s.err = errStreamNotALog
+			s.err = errNotALog
 			return s.err
 		}
 	}
@@ -119,9 +119,8 @@ func (s *Stream) Feed(p []byte) error {
 }
 
 // Finish declares the input complete: the remaining buffer is decoded
-// under the salvage decoder's end-of-input rules (a chunk cut short is
-// dropped and the tail flagged truncated) and the metadata source is
-// resolved. The report remains readable afterwards; further Feeds error.
+// under the end-of-input rules (a chunk cut short is dropped and the
+// tail flagged truncated) and the metadata source is resolved. The report remains readable afterwards; further Feeds error.
 func (s *Stream) Finish() (*SalvageReport, error) {
 	if s.finished {
 		return s.rep, s.finErr
@@ -197,7 +196,7 @@ func (s *Stream) markSuspect(tid int32) { s.suspect[tid] = true }
 
 // parse consumes every decodable chunk at the head of the buffer. With
 // final unset it stops at the first chunk still awaiting bytes; with
-// final set it applies the salvage end-of-input rules instead.
+// final set it applies the end-of-input rules instead.
 func (s *Stream) parse(final bool) {
 	if final && len(s.buf) == 0 && s.garbage {
 		// A garbage run consumed the rest of the input in earlier feeds;
@@ -213,8 +212,8 @@ func (s *Stream) parse(final bool) {
 		if idx != 0 {
 			// Garbage (or a partial marker) at the head: resynchronize.
 			if !s.garbage {
-				// Entered from a chunk boundary; salvage flags the tail
-				// truncated if no marker ever follows.
+				// Entered from a chunk boundary: the tail is truncated
+				// if no marker ever follows.
 				s.garbage, s.garbageTrunc, s.garbageStart = true, true, s.base
 			}
 			if idx > 0 {
@@ -244,9 +243,9 @@ func (s *Stream) parse(final bool) {
 					// The chunk's bytes have not all arrived; wait.
 					return
 				}
-				// Mirror salvage: a bit flip in a length field can fake
-				// truncation, so look for a later marker before concluding
-				// the log just ends here.
+				// A bit flip in a length field can fake truncation, so
+				// look for a later marker before concluding the log just
+				// ends here.
 				if next := bytes.Index(s.buf[1:], chunkMarker[:]); next >= 0 {
 					s.rep.ChunksDropped++
 					if tag >= tagThreadBase {
@@ -278,8 +277,8 @@ func (s *Stream) parse(final bool) {
 				s.drop(1 + next)
 				continue
 			}
-			// Skip silently to end of input, like salvage's corrupt-chunk
-			// path (which does not flag truncation).
+			// Skip silently to end of input: damage inside a chunk is
+			// corruption, not a truncated tail.
 			s.garbage, s.garbageTrunc, s.garbageStart = true, false, s.base
 			if final {
 				s.drop(len(s.buf))

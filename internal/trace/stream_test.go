@@ -3,85 +3,70 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// streamCollect feeds data to a Stream in pieces of the given sizes
-// (cycled; a single 0 means "everything at once") and reassembles the
-// emitted chunks into a Log the way the online pipeline would.
-func streamCollect(t *testing.T, data []byte, sizes []int) (*Log, *SalvageReport, error) {
-	t.Helper()
-	log := &Log{Threads: make(map[int32][]Event)}
-	s := NewStream(func(tid int32, evs []Event, suspect bool) {
-		if suspect {
-			if log.Degraded == nil {
-				log.Degraded = make(map[int32]int)
-			}
-			if _, ok := log.Degraded[tid]; !ok {
-				log.Degraded[tid] = len(log.Threads[tid])
-			}
-		}
-		log.Threads[tid] = append(log.Threads[tid], evs...)
-		log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
-	})
-	for off, i := 0, 0; off < len(data); i++ {
-		n := sizes[i%len(sizes)]
-		if n <= 0 || n > len(data)-off {
-			n = len(data) - off
-		}
-		if err := s.Feed(data[off : off+n]); err != nil {
-			return log, s.Report(), err
-		}
-		off += n
-	}
-	rep, err := s.Finish()
-	log.Meta = s.Meta()
-	return log, rep, err
+// pieceReader serves data in short reads of the given sizes (cycled; a
+// size of 0 means whatever the caller's buffer holds), the way a socket
+// or a growing file hands the decoder its input.
+type pieceReader struct {
+	data  []byte
+	sizes []int
+	i     int
 }
 
-// effectiveDegraded normalizes a Degraded map to only the entries that
-// change replay behavior (an index at or past the end of the stream
-// marks no event suspect).
-func effectiveDegraded(log *Log) map[int32]int {
-	out := make(map[int32]int)
-	for tid, idx := range log.Degraded {
-		if idx < len(log.Threads[tid]) {
-			out[tid] = idx
-		}
+func (r *pieceReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
 	}
-	return out
+	n := r.sizes[r.i%len(r.sizes)]
+	r.i++
+	if n <= 0 || n > len(p) {
+		n = len(p)
+	}
+	n = copy(p[:n], r.data)
+	r.data = r.data[n:]
+	return n, nil
 }
 
-// checkStreamMatchesSalvage asserts that incremental decoding of data —
-// at every piece-size pattern given — accepts exactly what Salvage
-// accepts, with identical accounting.
+// salvagePieces runs Salvage over data delivered in reads of the given
+// sizes.
+func salvagePieces(data []byte, sizes []int) (*Log, *SalvageReport, error) {
+	return Salvage(&pieceReader{data: data, sizes: sizes})
+}
+
+// checkStreamMatchesSalvage asserts that the size of the reads the
+// decoder is fed — at every piece-size pattern given, including ones
+// that split the magic, a marker or a chunk header across reads —
+// cannot change what Salvage accepts or how it accounts for it.
 func checkStreamMatchesSalvage(t *testing.T, data []byte, sizePatterns [][]int) {
 	t.Helper()
 	slog, srep, serr := Salvage(bytes.NewReader(data))
 	for _, sizes := range sizePatterns {
-		glog, grep, gerr := streamCollect(t, data, sizes)
+		glog, grep, gerr := salvagePieces(data, sizes)
 		if (serr != nil) != (gerr != nil) {
-			t.Fatalf("sizes %v: salvage err %v, stream err %v", sizes, serr, gerr)
+			t.Fatalf("sizes %v: whole-read err %v, piecewise err %v", sizes, serr, gerr)
 		}
 		if serr != nil {
 			continue
 		}
 		if !reflect.DeepEqual(glog.Threads, slog.Threads) {
-			t.Fatalf("sizes %v: stream decoded different events than salvage", sizes)
+			t.Fatalf("sizes %v: piecewise decode found different events", sizes)
 		}
 		if !reflect.DeepEqual(glog.ChunkOrder, slog.ChunkOrder) {
-			t.Fatalf("sizes %v: chunk order %v != salvage %v", sizes, glog.ChunkOrder, slog.ChunkOrder)
+			t.Fatalf("sizes %v: chunk order %v != whole-read %v", sizes, glog.ChunkOrder, slog.ChunkOrder)
 		}
-		if got, want := effectiveDegraded(glog), effectiveDegraded(slog); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sizes %v: degraded marks %v != salvage %v", sizes, got, want)
+		if !reflect.DeepEqual(glog.Degraded, slog.Degraded) {
+			t.Fatalf("sizes %v: degraded marks %v != whole-read %v", sizes, glog.Degraded, slog.Degraded)
 		}
 		if !reflect.DeepEqual(glog.Meta, slog.Meta) {
-			t.Fatalf("sizes %v: stream meta %+v != salvage %+v", sizes, glog.Meta, slog.Meta)
+			t.Fatalf("sizes %v: meta %+v != whole-read %+v", sizes, glog.Meta, slog.Meta)
 		}
 		if !reflect.DeepEqual(grep, srep) {
-			t.Fatalf("sizes %v: stream report %+v != salvage %+v", sizes, grep, srep)
+			t.Fatalf("sizes %v: report %+v != whole-read %+v", sizes, grep, srep)
 		}
 		checkRecon(t, grep)
 	}
@@ -93,7 +78,7 @@ func TestStreamPristineMatchesReadAll(t *testing.T) {
 	data, want := buildLog(t, 11, 3, 200, 64)
 	checkStreamMatchesSalvage(t, data, streamSizePatterns)
 
-	log, rep, err := streamCollect(t, data, []int{1})
+	log, rep, err := salvagePieces(data, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +175,7 @@ func TestStreamTornTailThenCompletes(t *testing.T) {
 	// stream must wait (no truncation) and end up identical to a
 	// single-shot decode.
 	cut := spans[len(spans)/2].Start + 3
-	whole, wholeRep, err := streamCollect(t, data, []int{0})
+	whole, wholeRep, err := Salvage(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
