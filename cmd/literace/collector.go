@@ -40,7 +40,6 @@ func cmdServeCollector(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", collector.DefaultIdleTimeout, "per-frame read deadline (the slow-loris bound)")
 	maxSessions := fs.Int("max-sessions", collector.DefaultMaxSessions, "maximum live producer sessions")
 	maxReorder := fs.Int("max-reorder", collector.DefaultMaxReorderBytes, "per-session out-of-order buffer budget in bytes (overflow sheds)")
-	shards := fs.Int("shards", 0, "detection worker count per producer pipeline (0 = default)")
 	srcPath := fs.String("src", "", "original .lir source, to resolve function names in reports")
 	slo := fs.Bool("slo", false, "arm the SLO watchdog: exit 4 when a health check breaches for -slo-sustain consecutive polls")
 	sloSustain := fs.Int("slo-sustain", 0, "consecutive breaching polls before the breach counts as sustained (0 = default)")
@@ -103,7 +102,6 @@ func cmdServeCollector(args []string) error {
 
 	srv, err := collector.New(collector.Options{
 		Resolve:         resolve,
-		Shards:          *shards,
 		MaxSessions:     *maxSessions,
 		MaxReorderBytes: *maxReorder,
 		ResumeGrace:     *resumeGrace,

@@ -23,7 +23,7 @@ import (
 
 // diagBundleSchema versions the bundle layout; bump it when a member
 // changes name or meaning.
-const diagBundleSchema = "literace.diagbundle/v1"
+const diagBundleSchema = "literace.diagbundle/v2"
 
 // bundleMember is one MANIFEST.json row. Deterministic members are
 // byte-stable across reruns of `literace diag` over the same log with
@@ -82,7 +82,6 @@ func cmdDiag(args []string) error {
 	fs := flag.NewFlagSet("diag", flag.ExitOnError)
 	outDir := fs.String("o", "", "bundle output directory (default <log>.diag)")
 	srcPath := fs.String("src", "", "original .lir source, to resolve function names")
-	shards := fs.Int("shards", 0, "detection worker count (0 = default)")
 	ledgerDir := fs.String("ledger", "", "include the tail of this run-report ledger in the bundle")
 	ledgerTail := fs.Int("ledger-tail", 5, "how many trailing ledger entries to include")
 	lcfg := addLogFlags(fs)
@@ -130,7 +129,7 @@ func cmdDiag(args []string) error {
 	rec := diag.NewRecorderObs(1<<16, reg)
 	wd := diag.NewWatchdog(diag.DefaultSLO())
 	sess := literace.NewStreamSession(resolve, literace.StreamOptions{
-		Shards: *shards, Obs: reg, Diag: rec, Log: log,
+		Obs: reg, Diag: rec, Log: log,
 		// Evidence capture and near-miss analytics feed the bundle's
 		// forensics.json member; cost is bounded by the logged accesses
 		// the replay analyzes anyway.
@@ -170,15 +169,12 @@ func cmdDiag(args []string) error {
 		Schema  string   `json:"schema"`
 		Log     string   `json:"log"`
 		Src     string   `json:"src,omitempty"`
-		Shards  int      `json:"shards"`
-		Used    int      `json:"shards_used"`
 		Module  string   `json:"module,omitempty"`
 		Sampler string   `json:"sampler,omitempty"`
 		Seed    int64    `json:"seed"`
 		SLO     diag.SLO `json:"slo"`
 	}{
 		Schema: diagBundleSchema, Log: logPath, Src: *srcPath,
-		Shards: *shards, Used: len(res.ShardEvents),
 		Module: tlog.Meta.Module, Sampler: tlog.Meta.Primary, Seed: tlog.Meta.Seed,
 		SLO: wd.SLO(),
 	}); err != nil {
@@ -205,9 +201,8 @@ func cmdDiag(args []string) error {
 	}
 	// forensics.json carries the full evidence view of the same replay:
 	// per-occurrence vector clocks, sync frontiers, locksets, witness
-	// windows, and the near-miss table. Deterministic for a fixed shard
-	// count — occurrence order follows the pipeline's shard-merge order,
-	// which is fixed per (log bytes, -shards).
+	// windows, and the near-miss table. Deterministic per log bytes:
+	// occurrence order is replay order.
 	fxRep, err := forensics.Build(tlog, &res.Result, forensics.Options{
 		Resolve:  resolve,
 		Margin:   hb.DefaultNearMissMargin,

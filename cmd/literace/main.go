@@ -128,7 +128,7 @@ func usage() {
   explain <log.trc> -src prog.lir [same rendering flags]
           forensic race report: per-occurrence vector-clock evidence, sync frontiers, locksets,
           witness interleavings, burst attribution, near-miss analytics; always exits 0 on success
-  watch   <log.trc> [-src prog.lir] [-shards N] [-poll d] [-idle d] [-quiet] [-json] [-serve ADDR] [-metrics f]
+  watch   <log.trc> [-src prog.lir] [-poll d] [-idle d] [-quiet] [-json] [-serve ADDR] [-metrics f]
           [-forward ADDR [-producer NAME]] [-slo] [-slo-sustain N] [-slo-max-lag N] [-slo-max-stage-ms N] [-slo-max-crc N] [-slo-max-gaps N]
           online detection over a live or completed log: races stream to stderr as found,
           the final report (identical to detect's) prints when the log completes or goes idle;
@@ -136,7 +136,7 @@ func usage() {
   fsck    <log.trc>                 salvage-decode and print a JSON health report
   dump    <log.trc> [-n N]          print decoded log events
   timeline <log.trc> [-o t.json] [-src prog.lir] [-salvage]  export a Perfetto/Chrome trace timeline
-  diag    <log.trc> [-o dir] [-src prog.lir] [-shards N] [-ledger dir]
+  diag    <log.trc> [-o dir] [-src prog.lir] [-ledger dir]
           replay the log through the instrumented pipeline and write a diagnostics bundle
           (flight recorder, health report, obs snapshot, fsck, profiles, timeline)
   report  <prog.lir> [-sampler S] [-seed N]          run + detect in one step

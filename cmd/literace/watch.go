@@ -33,7 +33,6 @@ import (
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	srcPath := fs.String("src", "", "original .lir source, to resolve function names")
-	shards := fs.Int("shards", 0, "detection worker count (0 = default)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "how often to re-check a quiet file for growth")
 	idle := fs.Duration("idle", 2*time.Second, "give up waiting once the file has not grown for this long (the torn tail is then analyzed under salvage rules)")
 	quiet := fs.Bool("quiet", false, "suppress incremental per-race output")
@@ -48,8 +47,7 @@ func cmdWatch(args []string) error {
 	sloMaxStageMS := fs.Int64("slo-max-stage-ms", -2, "max single-stage span in milliseconds (-1 disables, -2 = default)")
 	sloMaxCRC := fs.Int64("slo-max-crc", -2, "tolerated CRC failures (-1 disables, -2 = default)")
 	sloMaxGaps := fs.Int64("slo-max-gaps", -2, "tolerated sequence gaps (-1 disables, -2 = default)")
-	sloMaxBackpressure := fs.Int64("slo-max-backpressure", -2, "tolerated backpressure stalls (-1 disables, -2 = default)")
-	sloMaxDegrade := fs.Int64("slo-max-degrade", -2, "tolerated degrade-ordinal transitions (-1 disables, -2 = default)")
+	sloMaxDegrade := fs.Int64("slo-max-degrade", -2, "tolerated degrade transitions (-1 disables, -2 = default)")
 	lcfg := addLogFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -100,9 +98,6 @@ func cmdWatch(args []string) error {
 		if *sloMaxGaps > -2 {
 			policy.MaxSeqGaps = *sloMaxGaps
 		}
-		if *sloMaxBackpressure > -2 {
-			policy.MaxBackpressure = *sloMaxBackpressure
-		}
 		if *sloMaxDegrade > -2 {
 			policy.MaxDegradeTransitions = *sloMaxDegrade
 		}
@@ -130,7 +125,7 @@ func cmdWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := literace.StreamOptions{Shards: *shards, Obs: reg, Diag: rec, Log: streamLog}
+	opts := literace.StreamOptions{Obs: reg, Diag: rec, Log: streamLog}
 	var announce func(literace.StreamRace)
 	if !*quiet {
 		seen := make(map[string]bool)
@@ -250,8 +245,7 @@ func cmdWatch(args []string) error {
 	}
 	log.Info("stream finished",
 		"events", res.MemOps+res.SyncOps, "events_per_sec", int64(res.EventsPerSec),
-		"shards", len(res.ShardEvents), "dispatched", res.Dispatched,
-		"stalls", res.Stalls, "backpressure", res.Backpressure)
+		"stalls", res.Stalls)
 	if *asJSON {
 		doc, err := rep.MarshalRaces()
 		if err != nil {

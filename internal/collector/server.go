@@ -46,14 +46,12 @@ const (
 const FleetSchema = "literace.fleet/v1"
 
 // Options configures a Server. The zero value works: anonymous function
-// names, default shard count, and the default resource bounds.
+// names and the default resource bounds.
 type Options struct {
 	// Resolve maps original function indices to names in race reports
 	// (nil for raw indices). It must match what producers will be
 	// detect-ed with for report parity.
 	Resolve func(int32) string
-	// Shards is each producer pipeline's detection worker count.
-	Shards int
 	// MaxSessions bounds concurrently live (active + parked) producer
 	// sessions; a hello past the bound is rejected. 0 = DefaultMaxSessions.
 	MaxSessions int

@@ -104,10 +104,9 @@ func newSession(srv *Server, name, module string) *session {
 		srv:     srv,
 		reorder: make(map[uint64][]byte),
 		pipe: literace.NewStreamSession(srv.opts.Resolve, literace.StreamOptions{
-			Shards: srv.opts.Shards,
-			Obs:    srv.opts.Obs,
-			Diag:   srv.rec,
-			Log:    srv.log,
+			Obs:  srv.opts.Obs,
+			Diag: srv.rec,
+			Log:  srv.log,
 		}),
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"literace/internal/trace"
 )
 
-// ClockEngine is the synchronization half of happens-before detection,
-// shared by the batch Detector and the streaming pipeline: per-thread
+// clockEngine is the synchronization half of Detector: per-thread
 // vector clocks, the clock each sync var published at its last release,
 // the last-release record behind Options.OnEdge, and each thread's
 // evidence state. It also applies the SamplerBit filter and counts the
 // events it sees. The memory-access half is shadow.Engine.
-type ClockEngine struct {
-	threads  []*ThreadClock // indexed by tid
+type clockEngine struct {
+	threads  []*threadClock // indexed by tid
 	vars     map[uint64]VC  // sync var -> clock published by its releases
 	lastRel  map[uint64]relInfo
 	onEdge   func(Edge)
@@ -30,8 +29,8 @@ type ClockEngine struct {
 	obsSync  *obs.Counter // hb.sync_events
 }
 
-// ThreadClock is one thread's view in the clock engine.
-type ThreadClock struct {
+// threadClock is one thread's view in the clock engine.
+type threadClock struct {
 	// VC is the live clock. Sync events mutate it in place, so a caller
 	// that keeps a clock past the next sync event takes Snapshot instead.
 	VC VC
@@ -55,10 +54,10 @@ type relInfo struct {
 	ts      uint64
 }
 
-// NewClockEngine returns a clock engine honoring opts.SamplerBit,
+// newClockEngine returns a clock engine honoring opts.SamplerBit,
 // opts.OnEdge, opts.Evidence and opts.Obs.
-func NewClockEngine(opts Options) *ClockEngine {
-	c := &ClockEngine{
+func newClockEngine(opts Options) *clockEngine {
+	c := &clockEngine{
 		vars:     make(map[uint64]VC),
 		onEdge:   opts.OnEdge,
 		evidence: opts.Evidence,
@@ -76,7 +75,7 @@ func NewClockEngine(opts Options) *ClockEngine {
 }
 
 // Thread returns tid's clock state, creating it on first use.
-func (c *ClockEngine) Thread(tid int32) *ThreadClock {
+func (c *clockEngine) Thread(tid int32) *threadClock {
 	if int(tid) < len(c.threads) && c.threads[tid] != nil {
 		return c.threads[tid]
 	}
@@ -86,13 +85,13 @@ func (c *ClockEngine) Thread(tid int32) *ThreadClock {
 // newThread is Thread's cold path, kept out of line so Thread inlines.
 //
 //go:noinline
-func (c *ClockEngine) newThread(tid int32) *ThreadClock {
+func (c *clockEngine) newThread(tid int32) *threadClock {
 	for int(tid) >= len(c.threads) {
 		c.threads = append(c.threads, nil)
 	}
 	// A fresh thread starts at clock 1 so its epoch (tid, 1) is not
 	// vacuously happens-before everything.
-	t := &ThreadClock{VC: VC{}.Set(tid, 1)}
+	t := &threadClock{VC: VC{}.Set(tid, 1)}
 	c.threads[tid] = t
 	return t
 }
@@ -101,7 +100,7 @@ func (c *ClockEngine) newThread(tid int32) *ThreadClock {
 // the sync var's published clock into the thread's, a release publishes
 // the thread's clock into the var and ticks the thread, an acq-rel does
 // both in that order.
-func (c *ClockEngine) Sync(e *trace.Event) {
+func (c *clockEngine) Sync(e *trace.Event) {
 	c.SyncOps++
 	c.obsSync.Inc()
 	t := c.Thread(e.TID)
@@ -130,7 +129,7 @@ func (c *ClockEngine) Sync(e *trace.Event) {
 // emitEdge reports the happens-before edge from the last recorded
 // release on e.Addr to the acquiring event e, if the release came from
 // a different thread. No-op unless OnEdge is set.
-func (c *ClockEngine) emitEdge(e *trace.Event) {
+func (c *clockEngine) emitEdge(e *trace.Event) {
 	if c.lastRel == nil {
 		return
 	}
@@ -152,7 +151,7 @@ func (c *ClockEngine) emitEdge(e *trace.Event) {
 // Access admits one memory event: it returns nil when the SamplerBit
 // filter drops the event, and otherwise counts it and returns the
 // accessing thread with MemSeq advanced to this access.
-func (c *ClockEngine) Access(e *trace.Event) *ThreadClock {
+func (c *clockEngine) Access(e *trace.Event) *threadClock {
 	if c.bit >= 0 && e.Mask&(1<<uint(c.bit)) == 0 {
 		return nil
 	}
@@ -166,7 +165,7 @@ func (c *ClockEngine) Access(e *trace.Event) *ThreadClock {
 // Snapshot returns an immutable copy of the thread's clock. The copy is
 // taken afresh only after a sync event changed the clock (clone on
 // write), so the accesses between two sync events share one.
-func (t *ThreadClock) Snapshot() VC {
+func (t *threadClock) Snapshot() VC {
 	if t.dirty || t.pub == nil {
 		t.pub = t.VC.Clone()
 		t.dirty = false
@@ -176,4 +175,4 @@ func (t *ThreadClock) Snapshot() VC {
 
 // Evidence captures the forensic snapshot of an access the thread makes
 // now. Meaningful only when the engine runs with Options.Evidence.
-func (t *ThreadClock) Evidence() *AccessEvidence { return t.ev.Snapshot(t.Snapshot()) }
+func (t *threadClock) Evidence() *AccessEvidence { return t.ev.Snapshot(t.Snapshot()) }

@@ -153,9 +153,9 @@ type Detector struct {
 	opts     Options
 	res      Result
 	degraded bool
-	clk      *ClockEngine
+	clk      *clockEngine
 	eng      *shadow.Engine
-	near     *NearAccum // near-miss accumulator; nil when disabled
+	near     *nearAccum // near-miss accumulator; nil when disabled
 
 	obsRaces *obs.Counter // hb.dynamic_races; nil-safe
 }
@@ -164,25 +164,16 @@ type Detector struct {
 func NewDetector(opts Options) *Detector {
 	d := &Detector{
 		opts: opts,
-		clk:  NewClockEngine(opts),
-		near: NewNearAccum(opts.NearMissMargin),
+		clk:  newClockEngine(opts),
+		near: newNearAccum(opts.NearMissMargin),
 	}
 	if opts.Obs != nil {
 		d.obsRaces = opts.Obs.Counter("hb.dynamic_races")
 	}
-	d.eng = NewAccessEngine(opts.ShadowMaxCells, opts.Obs, d.near, func(r DynamicRace, _ int) { d.report(r) })
-	return d
-}
-
-// NewAccessEngine returns the shadow engine that analyzes one stream of
-// sampled accesses, turning its race callbacks into DynamicRaces for
-// report (sub is the race's index among those one access produced) and
-// its ordered conflicting pairs into near-miss notes (near may be nil).
-func NewAccessEngine(maxCells int, reg *obs.Registry, near *NearAccum, report func(r DynamicRace, sub int)) *shadow.Engine {
 	so := shadow.Options{
-		MaxCells: maxCells,
-		Obs:      reg,
-		OnRace: func(prev shadow.Prev, cur *shadow.Access, sub int) {
+		MaxCells: opts.ShadowMaxCells,
+		Obs:      opts.Obs,
+		OnRace: func(prev shadow.Prev, cur *shadow.Access) {
 			r := DynamicRace{
 				PrevPC: prev.PC, CurPC: cur.PC,
 				PrevWrite: prev.Write, CurWrite: cur.Write,
@@ -196,13 +187,14 @@ func NewAccessEngine(maxCells int, reg *obs.Registry, near *NearAccum, report fu
 			if cur.Ev != nil {
 				r.CurEvidence = cur.Ev.(*AccessEvidence)
 			}
-			report(r, sub)
+			d.report(r)
 		},
 	}
-	if near != nil {
-		so.OnOrdered = near.Note
+	if d.near != nil {
+		so.OnOrdered = d.near.Note
 	}
-	return shadow.NewEngine(so)
+	d.eng = shadow.NewEngine(so)
+	return d
 }
 
 // Process consumes one event.

@@ -180,30 +180,27 @@ type nearAgg struct {
 	min   uint64
 }
 
-// NearAccum accumulates near-miss statistics per static pair. A nil
-// accumulator is inert. Both detection engines use it: the batch detector
-// holds one, each streaming shard holds one and the pipeline merges them
-// at Finish — counts and minimum margins are order-independent, so the
-// merged rows equal the batch rows exactly.
-type NearAccum struct {
+// nearAccum accumulates near-miss statistics per static pair. A nil
+// accumulator is inert. Detector and ReferenceDetector each hold one.
+type nearAccum struct {
 	margin uint64
 	m      map[nearKey]*nearAgg
 }
 
-// NewNearAccum returns an accumulator counting ordered pairs whose
+// newNearAccum returns an accumulator counting ordered pairs whose
 // happens-before margin is strictly below margin; margin <= 0 returns nil
 // (disabled).
-func NewNearAccum(margin int) *NearAccum {
+func newNearAccum(margin int) *nearAccum {
 	if margin <= 0 {
 		return nil
 	}
-	return &NearAccum{margin: uint64(margin), m: make(map[nearKey]*nearAgg)}
+	return &nearAccum{margin: uint64(margin), m: make(map[nearKey]*nearAgg)}
 }
 
 // Note records one ordered conflicting pair with the given margin
 // (now.At(prev.tid) - prev.clk, ≥ 0 for an ordered pair). Pairs at or
 // above the configured margin are ignored.
-func (n *NearAccum) Note(prev, cur lir.PC, margin uint64) {
+func (n *nearAccum) Note(prev, cur lir.PC, margin uint64) {
 	if n == nil || margin >= n.margin {
 		return
 	}
@@ -222,25 +219,8 @@ func (n *NearAccum) Note(prev, cur lir.PC, margin uint64) {
 	agg.count++
 }
 
-// Merge folds another accumulator's rows into n (shard merge at Finish).
-func (n *NearAccum) Merge(o *NearAccum) {
-	if n == nil || o == nil {
-		return
-	}
-	for k, oa := range o.m {
-		agg := n.m[k]
-		if agg == nil {
-			agg = &nearAgg{min: oa.min}
-			n.m[k] = agg
-		} else if oa.min < agg.min {
-			agg.min = oa.min
-		}
-		agg.count += oa.count
-	}
-}
-
 // Rows returns the accumulated rows sorted by static pair.
-func (n *NearAccum) Rows() []NearMiss {
+func (n *nearAccum) Rows() []NearMiss {
 	if n == nil || len(n.m) == 0 {
 		return nil
 	}
@@ -274,8 +254,8 @@ const nearMissObsKeyCap = 64
 
 // PublishNearMisses publishes the rows' telemetry into reg (nil-safe):
 // the total counter plus one per-pair counter for up to nearMissObsKeyCap
-// pairs in sorted order. Both engines call it exactly once per pass, so
-// batch and streaming runs publish identical readings.
+// pairs in sorted order. Batch and streaming passes call it exactly once
+// per pass, so they publish identical readings.
 func PublishNearMisses(reg *obs.Registry, rows []NearMiss) {
 	if reg == nil || len(rows) == 0 {
 		return

@@ -101,19 +101,18 @@ func TestEvidenceStateFrontier(t *testing.T) {
 }
 
 func TestNearAccumDisabled(t *testing.T) {
-	if NewNearAccum(0) != nil || NewNearAccum(-1) != nil {
+	if newNearAccum(0) != nil || newNearAccum(-1) != nil {
 		t.Fatal("margin <= 0 must return a nil (inert) accumulator")
 	}
-	var n *NearAccum
+	var n *nearAccum
 	n.Note(lir.PC{}, lir.PC{}, 0) // nil-safe
-	n.Merge(NewNearAccum(3))
 	if n.Rows() != nil {
 		t.Error("nil accumulator produced rows")
 	}
 }
 
 func TestNearAccumStrictMargin(t *testing.T) {
-	n := NewNearAccum(3)
+	n := newNearAccum(3)
 	a, b := lir.PC{Func: 1, Index: 0}, lir.PC{Func: 2, Index: 0}
 	n.Note(a, b, 3) // at the margin: NOT a near miss (strict <)
 	if n.Rows() != nil {
@@ -133,15 +132,13 @@ func TestNearAccumStrictMargin(t *testing.T) {
 	}
 }
 
-func TestNearAccumMergeAndSort(t *testing.T) {
-	a := NewNearAccum(5)
-	b := NewNearAccum(5)
+func TestNearAccumSort(t *testing.T) {
+	a := newNearAccum(5)
 	p1, p2 := lir.PC{Func: 1}, lir.PC{Func: 2}
-	a.Note(p1, p1, 4)
 	a.Note(p2, p2, 2)
-	b.Note(p2, p2, 1)
-	b.Note(p1, p1, 3)
-	a.Merge(b)
+	a.Note(p1, p1, 4)
+	a.Note(p2, p2, 1)
+	a.Note(p1, p1, 3)
 	rows := a.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
@@ -150,10 +147,10 @@ func TestNearAccumMergeAndSort(t *testing.T) {
 		t.Errorf("rows not sorted by pair: %+v", rows)
 	}
 	if rows[0].Count != 2 || rows[0].MinMargin != 3 {
-		t.Errorf("merged row 0 = %+v", rows[0])
+		t.Errorf("row 0 = %+v", rows[0])
 	}
 	if rows[1].Count != 2 || rows[1].MinMargin != 1 {
-		t.Errorf("merged row 1 = %+v", rows[1])
+		t.Errorf("row 1 = %+v", rows[1])
 	}
 }
 

@@ -22,7 +22,7 @@ type ReferenceDetector struct {
 	threads  map[int32]*refThread
 	vars     map[uint64]VC
 	mem      map[uint64][]refAccess
-	near     *NearAccum
+	near     *nearAccum
 }
 
 type refThread struct {
@@ -47,7 +47,7 @@ func NewReferenceDetector(opts Options) *ReferenceDetector {
 		threads: make(map[int32]*refThread),
 		vars:    make(map[uint64]VC),
 		mem:     make(map[uint64][]refAccess),
-		near:    NewNearAccum(opts.NearMissMargin),
+		near:    newNearAccum(opts.NearMissMargin),
 	}
 }
 

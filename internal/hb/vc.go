@@ -2,7 +2,7 @@
 // §2.1 and §4.4: a vector-clock algorithm over the event log, preceded by
 // a replayer that reconstructs a legal cross-thread order from the
 // per-SyncVar logical timestamps (the 128 hashed counters of §4.2). The
-// clock engine (ClockEngine) applies synchronization events; sampled
+// clock engine (clockEngine) applies synchronization events; sampled
 // memory accesses go to the epoch core of internal/shadow.
 package hb
 

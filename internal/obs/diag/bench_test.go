@@ -15,8 +15,8 @@ func BenchmarkDiagDisabledOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Span(StageChunkDecode, 0, start, time.Microsecond, uint64(i), 1)
-		r.Span(StageShardDetect, 1, start, time.Microsecond, uint64(i), 256)
-		r.Anomaly(AnomBackpressure, 1, 1, uint64(i))
+		r.Span(StageMergerDeliver, 1, start, time.Microsecond, uint64(i), 256)
+		r.Anomaly(AnomBacklogHighWater, 1, 1, uint64(i))
 	}
 }
 
@@ -28,7 +28,7 @@ func BenchmarkDiagEnabledRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Span(StageShardDetect, 1, start, time.Microsecond, uint64(i), 256)
-		r.Anomaly(AnomBackpressure, 1, 1, uint64(i))
+		r.Span(StageMergerDeliver, 1, start, time.Microsecond, uint64(i), 256)
+		r.Anomaly(AnomBacklogHighWater, 1, 1, uint64(i))
 	}
 }

@@ -1,18 +1,18 @@
 // Package diag is the detector's flight recorder: a fixed-size,
 // lock-free ring buffer of structured pipeline events — stage spans
 // (wall-clock duration plus a virtual-clock reading) and anomaly records
-// (CRC failures, sequence gaps, marker resyncs, backpressure stalls,
-// backlog high-watermarks, degrade transitions). It exists so a
-// production `literace watch` can explain *why* it stalled or degraded
-// after the fact, not just that it did.
+// (CRC failures, sequence gaps, marker resyncs, backlog
+// high-watermarks, degrade transitions, collector sheds and
+// disconnects). It exists so a production `literace watch` can explain
+// *why* it stalled or degraded after the fact, not just that it did.
 //
 // Like the obs registry, the disabled path is free: every method on a
 // nil *Recorder is a no-op that performs zero allocations (proven by
 // BenchmarkDiagDisabledOverhead), so pipeline code records
 // unconditionally through a possibly-nil pointer. The enabled path is
 // also allocation-free per record: writers claim a slot with one atomic
-// add and publish scalar fields through per-slot atomics, so shard
-// workers and the clock engine can record concurrently without locks.
+// add and publish scalar fields through per-slot atomics, so collector
+// sessions and their pipelines can record concurrently without locks.
 // When the ring laps, the oldest records are overwritten — a flight
 // recorder keeps the recent past, not the whole flight.
 package diag
@@ -32,15 +32,13 @@ type Stage uint8
 
 // The pipeline stages, in data-flow order. StageChunkDecode covers
 // trace.Stream.Feed — note it *contains* the downstream stages, because
-// decoding emits chunks which are merged and dispatched inline; the
+// decoding emits chunks which are merged and analyzed inline; the
 // other spans let the contained time be attributed. StageRunLive is the
 // interpreter's OnLive heartbeat during `literace run`.
 const (
 	StageChunkDecode   Stage = iota // trace.Stream.Feed: bytes in → chunks emitted (includes downstream)
 	StageMergerDeliver              // hb.Merger Add+Pump for one chunk: events delivered
 	StageClockEngine                // vector-clock updates for the sync events of one chunk
-	StageShardDispatch              // one batch handed to a shard inbox (captures backpressure waits)
-	StageShardDetect                // one batch analyzed by a shard worker
 	StageRunLive                    // interpreter OnLive heartbeat (items = mem ops, vclock = instrs)
 	numStages
 )
@@ -49,8 +47,6 @@ var stageNames = [numStages]string{
 	"chunk-decode",
 	"merger-deliver",
 	"clock-engine",
-	"shard-dispatch",
-	"shard-detect",
 	"run-live",
 }
 
@@ -75,14 +71,12 @@ const (
 	// AnomMarkerResync: the decoder discarded bytes scanning for the next
 	// chunk marker (magnitude = bytes dropped).
 	AnomMarkerResync
-	// AnomBackpressure: a shard inbox was full and the clock engine
-	// blocked (magnitude = batch length).
-	AnomBackpressure
 	// AnomBacklogHighWater: the merge backlog reached a new high
 	// watermark (magnitude = the watermark, in events).
 	AnomBacklogHighWater
 	// AnomDegradeTransition: the merge entered degraded mode; races found
-	// from this dispatch ordinal on are unconfirmed (magnitude = ordinal).
+	// from here on are unconfirmed (magnitude = accesses analyzed before
+	// the transition).
 	AnomDegradeTransition
 	// AnomShed: a collector session's bounded reorder buffer overflowed
 	// and bytes were abandoned to keep ingesting (magnitude = bytes shed).
@@ -106,7 +100,6 @@ var anomalyNames = [numAnomalies]string{
 	"crc-failure",
 	"seq-gap",
 	"marker-resync",
-	"backpressure",
 	"backlog-high-water",
 	"degrade-transition",
 	"shed",

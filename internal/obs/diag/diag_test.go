@@ -20,14 +20,14 @@ func TestNilRecorderIsFreeNoop(t *testing.T) {
 	if r.Recorded() != 0 || r.Dropped() != 0 || r.Anomalies() != 0 || r.Cap() != 0 {
 		t.Fatal("nil recorder counters should read zero")
 	}
-	if c, n, m := r.StageStats(StageShardDetect); c != 0 || n != 0 || m != 0 {
+	if c, n, m := r.StageStats(StageMergerDeliver); c != 0 || n != 0 || m != 0 {
 		t.Fatal("nil recorder StageStats should read zero")
 	}
 	if !r.Epoch().IsZero() {
 		t.Fatal("nil recorder Epoch should be zero")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Span(StageShardDetect, 1, time.Time{}, 0, 3, 4)
+		r.Span(StageMergerDeliver, 1, time.Time{}, 0, 3, 4)
 		r.Anomaly(AnomSeqGap, 1, 1, 1)
 	})
 	if allocs != 0 {
@@ -40,7 +40,7 @@ func TestEnabledRecordIsAllocFree(t *testing.T) {
 	start := r.Epoch()
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Span(StageMergerDeliver, 2, start, time.Microsecond, 10, 20)
-		r.Anomaly(AnomBackpressure, 2, 5, 10)
+		r.Anomaly(AnomBacklogHighWater, 2, 5, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled record allocated %v per op, want 0", allocs)
@@ -131,9 +131,9 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 			start := r.Epoch()
 			for i := 0; i < per; i++ {
 				if i%2 == 0 {
-					r.Span(StageShardDetect, int32(w), start, time.Nanosecond, uint64(i), 1)
+					r.Span(StageMergerDeliver, int32(w), start, time.Nanosecond, uint64(i), 1)
 				} else {
-					r.Anomaly(AnomBackpressure, int32(w), 1, uint64(i))
+					r.Anomaly(AnomBacklogHighWater, int32(w), 1, uint64(i))
 				}
 			}
 		}(w)
@@ -149,7 +149,7 @@ func TestConcurrentWritersAndSnapshots(t *testing.T) {
 	if r.Recorded() != writers*per {
 		t.Fatalf("Recorded = %d, want %d", r.Recorded(), writers*per)
 	}
-	if got := r.AnomalyCount(AnomBackpressure); got != writers*per/2 {
+	if got := r.AnomalyCount(AnomBacklogHighWater); got != writers*per/2 {
 		t.Fatalf("anomaly aggregate = %d, want %d", got, writers*per/2)
 	}
 }
@@ -190,7 +190,6 @@ func TestSLOEvaluateScoring(t *testing.T) {
 		MaxCRCFailures:        0,
 		MaxSeqGaps:            -1,
 		MaxResyncs:            -1,
-		MaxBackpressure:       -1,
 		MaxDegradeTransitions: -1,
 		MaxShedEvents:         -1,
 		MaxDisconnects:        -1,

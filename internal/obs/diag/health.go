@@ -28,9 +28,7 @@ type SLO struct {
 	MaxSeqGaps int64 `json:"max_seq_gaps"`
 	// MaxResyncs bounds marker resynchronizations (corruption scans).
 	MaxResyncs int64 `json:"max_resyncs"`
-	// MaxBackpressure bounds shard-inbox backpressure stalls.
-	MaxBackpressure int64 `json:"max_backpressure"`
-	// MaxDegradeTransitions bounds degrade-ordinal transitions; 0 makes
+	// MaxDegradeTransitions bounds degrade transitions; 0 makes
 	// any degradation a breach.
 	MaxDegradeTransitions int64 `json:"max_degrade_transitions"`
 	// MaxShedEvents bounds collector reorder-buffer sheds (bytes
@@ -56,7 +54,6 @@ func DefaultSLO() SLO {
 		MaxCRCFailures:        0,          // any corruption breaches
 		MaxSeqGaps:            0,          // any lost chunk breaches
 		MaxResyncs:            0,          // any resync scan breaches
-		MaxBackpressure:       -1,         // expected under load
 		MaxDegradeTransitions: 0,          // any degradation breaches
 		MaxShedEvents:         -1,         // overload response, not corruption
 		MaxDisconnects:        -1,         // producers come and go
@@ -112,7 +109,6 @@ func (s SLO) Evaluate(rec *Recorder, p Probe) *Health {
 		{Name: "crc_failures", Value: int64(rec.AnomalyCount(AnomCRCFailure)), Limit: s.MaxCRCFailures},
 		{Name: "seq_gaps", Value: int64(rec.AnomalyCount(AnomSeqGap)), Limit: s.MaxSeqGaps},
 		{Name: "resyncs", Value: int64(rec.AnomalyCount(AnomMarkerResync)), Limit: s.MaxResyncs},
-		{Name: "backpressure", Value: int64(rec.AnomalyCount(AnomBackpressure)), Limit: s.MaxBackpressure},
 		{Name: "degrade_transitions", Value: int64(rec.AnomalyCount(AnomDegradeTransition)), Limit: s.MaxDegradeTransitions},
 		{Name: "shed_events", Value: int64(rec.AnomalyCount(AnomShed)), Limit: s.MaxShedEvents},
 		{Name: "disconnects", Value: int64(rec.AnomalyCount(AnomDisconnect)), Limit: s.MaxDisconnects},

@@ -15,7 +15,6 @@ import (
 	"literace/internal/hb"
 	"literace/internal/obs"
 	"literace/internal/obs/coverprof"
-	"literace/internal/stream"
 )
 
 // namePrefix namespaces every exported metric, per Prometheus convention.
@@ -82,23 +81,15 @@ func fmtFloat(v float64) string { return fmt.Sprintf("%g", v) }
 //     of a mangled gauge per function
 //   - per-pair near-miss counters (hb.near_miss.<A><-><B>) -> one
 //     labeled family literace_hb_near_miss{pair="<A><-><B>"}
-//   - per-shard stream instruments (stream.shard_events.<i> counters,
-//     stream.shard_util.<i> gauges) -> labeled families
-//     literace_stream_shard_events{shard="i"} and
-//     literace_stream_shard_util{shard="i"}
 //
 // Output is deterministic: families and series sort by name, so equal
 // snapshots produce identical bytes (the golden test relies on this).
 func WriteProm(w io.Writer, s *obs.Snapshot) error {
 	var b strings.Builder
 
-	var shardEv, nearMiss []string
+	var nearMiss []string
 	for _, name := range sortedKeys(s.Counters) {
-		switch {
-		case strings.HasPrefix(name, stream.ShardEventsCounterPrefix):
-			shardEv = append(shardEv, name)
-			continue
-		case strings.HasPrefix(name, hb.NearMissCounterPrefix):
+		if strings.HasPrefix(name, hb.NearMissCounterPrefix) {
 			nearMiss = append(nearMiss, name)
 			continue
 		}
@@ -114,22 +105,10 @@ func WriteProm(w io.Writer, s *obs.Snapshot) error {
 			fmt.Fprintf(&b, "%s{pair=\"%s\"} %d\n", fam, promLabel(pair), s.Counters[name])
 		}
 	}
-	if len(shardEv) > 0 {
-		fam := namePrefix + "stream_shard_events"
-		fmt.Fprintf(&b, "# HELP %s memory accesses processed by each detection shard\n# TYPE %s counter\n", fam, fam)
-		for _, name := range shardEv {
-			id := strings.TrimPrefix(name, stream.ShardEventsCounterPrefix)
-			fmt.Fprintf(&b, "%s{shard=\"%s\"} %d\n", fam, promLabel(id), s.Counters[name])
-		}
-	}
-	var lowCov, shardUtil []string
+	var lowCov []string
 	for _, name := range sortedKeys(s.Gauges) {
-		switch {
-		case strings.HasPrefix(name, coverprof.LowCoverageGaugePrefix):
+		if strings.HasPrefix(name, coverprof.LowCoverageGaugePrefix) {
 			lowCov = append(lowCov, name)
-			continue
-		case strings.HasPrefix(name, stream.ShardUtilGaugePrefix):
-			shardUtil = append(shardUtil, name)
 			continue
 		}
 		n := promName(name)
@@ -142,14 +121,6 @@ func WriteProm(w io.Writer, s *obs.Snapshot) error {
 		for _, name := range lowCov {
 			fn := strings.TrimPrefix(name, coverprof.LowCoverageGaugePrefix)
 			fmt.Fprintf(&b, "%s{func=\"%s\"} %s\n", fam, promLabel(fn), fmtFloat(s.Gauges[name]))
-		}
-	}
-	if len(shardUtil) > 0 {
-		fam := namePrefix + "stream_shard_util"
-		fmt.Fprintf(&b, "# HELP %s fraction of dispatched accesses handled by each detection shard\n# TYPE %s gauge\n", fam, fam)
-		for _, name := range shardUtil {
-			id := strings.TrimPrefix(name, stream.ShardUtilGaugePrefix)
-			fmt.Fprintf(&b, "%s{shard=\"%s\"} %s\n", fam, promLabel(id), fmtFloat(s.Gauges[name]))
 		}
 	}
 	for _, name := range sortedKeys(s.Histograms) {

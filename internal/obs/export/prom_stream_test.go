@@ -1,31 +1,22 @@
 package export
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 
 	"literace/internal/obs"
-	"literace/internal/stream"
 )
 
 // streamSnapshot populates a registry the way a finished stream.Pipeline
-// does — flat counters/gauges plus the per-shard families named by the
-// stream package's exported prefixes — and returns its snapshot.
-func streamSnapshot(nShards int) *obs.Snapshot {
+// does and returns its snapshot.
+func streamSnapshot() *obs.Snapshot {
 	reg := obs.New()
 	reg.Counter("stream.bytes").Add(1 << 20)
 	reg.Counter("stream.events").Add(50000)
-	reg.Counter("stream.mem_dispatched").Add(32000)
-	reg.Counter("stream.backpressure").Add(3)
 	reg.Gauge("stream.backlog_depth").Set(0)
 	reg.Gauge("stream.reorder_stalls").Set(12)
 	reg.Gauge("stream.events_per_sec").Set(1.25e6)
-	for i := 0; i < nShards; i++ {
-		reg.Counter(fmt.Sprintf("%s%d", stream.ShardEventsCounterPrefix, i)).Add(uint64(8000 + i))
-		reg.Gauge(fmt.Sprintf("%s%d", stream.ShardUtilGaugePrefix, i)).Set(0.25)
-	}
 	return reg.Snapshot()
 }
 
@@ -37,13 +28,11 @@ var promLine = regexp.MustCompile(`^(# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
 	`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? [^ ]+( [0-9]+)?)$`)
 
 // TestWritePromStreamFamilies checks that the stream pipeline's metric
-// families render under the literace_stream_* namespace, that the
-// per-shard instruments fold into single labeled families rather than
-// one mangled metric per shard, and that every emitted line is valid
-// Prometheus text format.
+// families render under the literace_stream_* namespace and that every
+// emitted line is valid Prometheus text format.
 func TestWritePromStreamFamilies(t *testing.T) {
 	var b strings.Builder
-	if err := WriteProm(&b, streamSnapshot(4)); err != nil {
+	if err := WriteProm(&b, streamSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -51,8 +40,6 @@ func TestWritePromStreamFamilies(t *testing.T) {
 	for _, flat := range []string{
 		"literace_stream_bytes 1048576",
 		"literace_stream_events 50000",
-		"literace_stream_mem_dispatched 32000",
-		"literace_stream_backpressure 3",
 		"literace_stream_backlog_depth 0",
 		"literace_stream_reorder_stalls 12",
 		"literace_stream_events_per_sec 1.25e+06",
@@ -62,41 +49,9 @@ func TestWritePromStreamFamilies(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 4; i++ {
-		ev := fmt.Sprintf("literace_stream_shard_events{shard=\"%d\"} %d", i, 8000+i)
-		if !strings.Contains(out, ev+"\n") {
-			t.Errorf("missing labeled shard counter %q", ev)
-		}
-		util := fmt.Sprintf("literace_stream_shard_util{shard=\"%d\"} 0.25", i)
-		if !strings.Contains(out, util+"\n") {
-			t.Errorf("missing labeled shard gauge %q", util)
-		}
-	}
-	if strings.Contains(out, "literace_stream_shard_util_0") ||
-		strings.Contains(out, "literace_stream_shard_events_0") {
-		t.Error("per-shard instruments leaked as mangled flat metrics")
-	}
-	for _, fam := range []string{"literace_stream_shard_events", "literace_stream_shard_util"} {
-		if got := strings.Count(out, "# TYPE "+fam+" "); got != 1 {
-			t.Errorf("family %s has %d TYPE lines, want exactly 1", fam, got)
-		}
-	}
-
 	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
 		if !promLine.MatchString(line) {
 			t.Errorf("line not valid prometheus 0.0.4 text format: %q", line)
 		}
-	}
-}
-
-// TestWritePromStreamSingleShard: the fold must also engage for one
-// shard (a single-element family is still a labeled family).
-func TestWritePromStreamSingleShard(t *testing.T) {
-	var b strings.Builder
-	if err := WriteProm(&b, streamSnapshot(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `literace_stream_shard_util{shard="0"} 0.25`+"\n") {
-		t.Errorf("single-shard family missing label fold:\n%s", b.String())
 	}
 }

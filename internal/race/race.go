@@ -51,10 +51,9 @@ type Static struct {
 	// SampleTIDs the matching thread pair. They come from the first
 	// *confirmed* dynamic occurrence when one exists — an occurrence
 	// covered by the paper's no-false-positive guarantee — falling back
-	// to the first sighting for all-unconfirmed races. Both detection
-	// engines fold races in a deterministic order (batch in replay
-	// order, streaming in shard-merge order fixed per input and shard
-	// count), so the samples are stable per input.
+	// to the first sighting for all-unconfirmed races. Batch and
+	// streaming detection both fold races in replay order, so the
+	// samples are stable per input.
 	SampleAddr uint64
 	// SampleTIDs is one racing thread pair (see SampleAddr).
 	SampleTIDs [2]int32

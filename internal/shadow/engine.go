@@ -6,8 +6,8 @@ import (
 )
 
 // Engine is the epoch fast-path detector core for one stream of
-// accesses delivered in analysis order (a batch pass, or one streaming
-// shard). It is not safe for concurrent use; shards each own an Engine.
+// accesses delivered in analysis order. It is not safe for concurrent
+// use.
 type Engine struct {
 	tab  table
 	opts Options
@@ -173,13 +173,11 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 		wEv, rEv = e.getEv(addr)
 	}
 
-	sub := 0
 	fast := true
 	if f&cellWrite != 0 && d.w.tid != tid {
 		fast = false
 		if d.w.clk > clockAt(vc, d.w.tid) {
-			e.report(&d.w, wEv, true, cur(), sub)
-			sub++
+			e.report(&d.w, wEv, true, cur())
 		} else if e.opts.OnOrdered != nil {
 			e.opts.OnOrdered(d.w.pc, pc, clockAt(vc, d.w.tid)-d.w.clk)
 		}
@@ -194,8 +192,7 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 			}
 			fast = false
 			if r.clk > clockAt(vc, r.tid) {
-				e.report(&r.rec, r.ev, false, cur(), sub)
-				sub++
+				e.report(&r.rec, r.ev, false, cur())
 			} else if e.opts.OnOrdered != nil {
 				e.opts.OnOrdered(r.pc, pc, clockAt(vc, r.tid)-r.clk)
 			}
@@ -203,8 +200,7 @@ func (e *Engine) writeSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []u
 	} else if f&cellRead != 0 && d.r.tid != tid {
 		fast = false
 		if d.r.clk > clockAt(vc, d.r.tid) {
-			e.report(&d.r, rEv, false, cur(), sub)
-			sub++
+			e.report(&d.r, rEv, false, cur())
 		} else if e.opts.OnOrdered != nil {
 			e.opts.OnOrdered(d.r.pc, pc, clockAt(vc, d.r.tid)-d.r.clk)
 		}
@@ -241,7 +237,7 @@ func (e *Engine) readSlow(i int, addr, seq uint64, tid int32, pc lir.PC, vc []ui
 				wEv, _ = e.getEv(addr)
 			}
 			e.scr = Access{Addr: addr, Seq: seq, TID: tid, PC: pc, VC: vc, Ev: e.evIn}
-			e.report(&d.w, wEv, true, &e.scr, 0)
+			e.report(&d.w, wEv, true, &e.scr)
 		} else if e.opts.OnOrdered != nil {
 			e.opts.OnOrdered(d.w.pc, pc, clockAt(vc, d.w.tid)-d.w.clk)
 		}
@@ -324,8 +320,8 @@ func (e *Engine) getEv(addr uint64) (w, r any) {
 }
 
 // report hands the race to the caller with the stored attribution.
-func (e *Engine) report(prev *rec, prevEv any, prevWrite bool, cur *Access, sub int) {
+func (e *Engine) report(prev *rec, prevEv any, prevWrite bool, cur *Access) {
 	if e.opts.OnRace != nil {
-		e.opts.OnRace(Prev{Seq: prev.seq, TID: prev.tid, Write: prevWrite, PC: prev.pc, Ev: prevEv}, cur, sub)
+		e.opts.OnRace(Prev{Seq: prev.seq, TID: prev.tid, Write: prevWrite, PC: prev.pc, Ev: prevEv}, cur)
 	}
 }

@@ -9,13 +9,12 @@ import (
 type raceRec struct {
 	prev Prev
 	cur  Access
-	sub  int
 }
 
 func collectRaces(opts Options) (*Engine, *[]raceRec) {
 	races := &[]raceRec{}
-	opts.OnRace = func(prev Prev, cur *Access, sub int) {
-		*races = append(*races, raceRec{prev: prev, cur: *cur, sub: sub})
+	opts.OnRace = func(prev Prev, cur *Access) {
+		*races = append(*races, raceRec{prev: prev, cur: *cur})
 	}
 	return NewEngine(opts), races
 }
@@ -37,7 +36,7 @@ func TestEngineWriteReadRace(t *testing.T) {
 		t.Fatalf("races = %d, want 1", len(*races))
 	}
 	r := (*races)[0]
-	if !r.prev.Write || r.cur.Write || r.prev.TID != 0 || r.cur.TID != 1 || r.sub != 0 {
+	if !r.prev.Write || r.cur.Write || r.prev.TID != 0 || r.cur.TID != 1 {
 		t.Fatalf("unexpected race %+v", r)
 	}
 	// An ordered read (T1 saw T0's clock) must not race.
@@ -72,8 +71,8 @@ func TestEnginePromotionAndReadShareOrder(t *testing.T) {
 	}
 	for i, wantTID := range []int32{0, 1, 2} {
 		r := (*races)[i]
-		if r.prev.TID != wantTID || r.sub != i || r.prev.Write || !r.cur.Write {
-			t.Fatalf("race %d: %+v, want prev tid %d sub %d", i, r, wantTID, i)
+		if r.prev.TID != wantTID || r.prev.Write || !r.cur.Write {
+			t.Fatalf("race %d: %+v, want prev tid %d", i, r, wantTID)
 		}
 	}
 	// The write cleared the read set: a new same-thread write is silent.

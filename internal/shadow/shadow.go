@@ -6,15 +6,15 @@
 // (one epoch per concurrently-reading thread) is materialized only when
 // unordered reads from multiple threads force it.
 //
-// This is the only access-history store of the detector: the batch
-// detector, the online detector and every streaming shard run one. It
-// knows nothing about trace replay, vector-clock bookkeeping, or
-// evidence capture. Callers drive the sync-clock side themselves
-// (hb.ClockEngine) and hand each sampled memory access to the engine
-// together with a view of the accessing thread's vector clock; the
-// engine answers with race callbacks that carry exactly the attribution
-// the caller stored. hb.ReferenceDetector, the textbook full-vector-clock
-// detector, is the differential oracle for it.
+// This is the only access-history store of the detector: hb.Detector
+// owns one, and the batch, online and streaming passes all run an
+// hb.Detector. It knows nothing about trace replay, vector-clock
+// bookkeeping, or evidence capture. Callers drive the sync-clock side
+// themselves (hb's clock engine) and hand each sampled memory access to
+// the engine together with a view of the accessing thread's vector
+// clock; the engine answers with race callbacks that carry exactly the
+// attribution the caller stored. hb.ReferenceDetector, the textbook
+// full-vector-clock detector, is the differential oracle for it.
 //
 // Backing storage is a word-granular open-addressed shadow-memory
 // table: one inline cell per exact address, no per-address heap
@@ -67,10 +67,9 @@ type Options struct {
 
 	// OnRace is invoked for every conflicting unordered pair, in the
 	// exact order the reference detector reports them: the write check
-	// first, then recorded reads in first-read order. sub is the 0-based
-	// index of the race among those the current access produced. cur is
-	// only valid for the duration of the call; copy what you keep.
-	OnRace func(prev Prev, cur *Access, sub int)
+	// first, then recorded reads in first-read order. cur is only valid
+	// for the duration of the call; copy what you keep.
+	OnRace func(prev Prev, cur *Access)
 
 	// OnOrdered, when non-nil, is invoked for every cross-thread
 	// conflicting pair that IS ordered, with the happens-before slack in
@@ -92,16 +91,6 @@ type Stats struct {
 	Evictions uint64
 	// Cells is the number of live shadow cells at snapshot time.
 	Cells int
-}
-
-// Add folds o into s: the statistics of several engines (streaming
-// shards) sum to those of the whole pass.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.FastpathHits += o.FastpathHits
-	s.Promotions += o.Promotions
-	s.Evictions += o.Evictions
-	s.Cells += o.Cells
 }
 
 // clockAt reads tid's component of a vector clock snapshot; components

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"literace/internal/hb"
 	"literace/internal/obs"
 	"literace/internal/obs/diag"
 	"literace/internal/stream"
@@ -17,10 +16,10 @@ func TestFlightRecorderCleanRun(t *testing.T) {
 	b := mustBench(t, "apache-1")
 	data := genLog(t, b, 3, 1)
 
-	base := runPipeline(t, data, 4, []int{777})
+	base := runPipeline(t, data, []int{777})
 
 	rec := diag.NewRecorder(1 << 14)
-	p := stream.New(stream.Options{Shards: 4, SamplerBit: hb.AllEvents, Diag: rec})
+	p := stream.New(stream.Options{Diag: rec})
 	for off := 0; off < len(data); off += 777 {
 		end := off + 777
 		if end > len(data) {
@@ -40,15 +39,13 @@ func TestFlightRecorderCleanRun(t *testing.T) {
 	}
 	for _, st := range []diag.Stage{
 		diag.StageChunkDecode, diag.StageMergerDeliver, diag.StageClockEngine,
-		diag.StageShardDispatch, diag.StageShardDetect,
 	} {
 		if c, _, _ := rec.StageStats(st); c == 0 {
 			t.Errorf("no spans recorded for stage %s", st)
 		}
 	}
-	// Backpressure (and backlog watermarks) are load artifacts and may
-	// legitimately occur on a clean log; corruption-class anomalies must
-	// not.
+	// Backlog watermarks are load artifacts and may legitimately occur
+	// on a clean log; corruption-class anomalies must not.
 	for _, a := range []diag.Anomaly{
 		diag.AnomCRCFailure, diag.AnomSeqGap, diag.AnomMarkerResync, diag.AnomDegradeTransition,
 	} {
@@ -71,7 +68,7 @@ func TestFlightRecorderDamagedLog(t *testing.T) {
 	mut[len(mut)/2] ^= 0x40
 
 	rec := diag.NewRecorder(1 << 14)
-	p := stream.New(stream.Options{SamplerBit: hb.AllEvents, Diag: rec})
+	p := stream.New(stream.Options{Diag: rec})
 	if err := p.Feed(mut); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestEventsPerSecIdleDecay(t *testing.T) {
 	data := genLog(t, b, 3, 1)
 	reg := obs.New()
 	g := reg.Gauge("stream.events_per_sec")
-	p := stream.New(stream.Options{SamplerBit: hb.AllEvents, Obs: reg})
+	p := stream.New(stream.Options{Obs: reg})
 
 	half := len(data) / 2
 	if err := p.Feed(data[:half]); err != nil {
@@ -136,7 +133,7 @@ func TestEventsPerSecIdleDecay(t *testing.T) {
 func TestPipelineProbeAndHighWater(t *testing.T) {
 	b := mustBench(t, "apache-1")
 	data := genLog(t, b, 3, 1)
-	p := stream.New(stream.Options{SamplerBit: hb.AllEvents})
+	p := stream.New(stream.Options{})
 	if err := p.Feed(data); err != nil {
 		t.Fatal(err)
 	}

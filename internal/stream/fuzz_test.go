@@ -11,11 +11,10 @@ import (
 )
 
 // FuzzStreamParity is the differential gate between the online pipeline
-// and the batch path: on arbitrary bytes, streaming decode + sharded
-// detection must agree exactly with trace.Salvage + hb.DetectDegraded —
-// same races in the same order, same confirmed/unconfirmed split, same
-// degradation and salvage accounting — no matter how the input is split
-// into feeds or how many shards run.
+// and the batch path: on arbitrary bytes, streaming decode + detection
+// must agree exactly with trace.Salvage + hb.DetectDegraded — same races
+// in the same order, same confirmed/unconfirmed split, same degradation
+// and salvage accounting — no matter how the input is split into feeds.
 func FuzzStreamParity(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf)
@@ -43,19 +42,19 @@ func FuzzStreamParity(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	f.Add(valid, uint16(0), uint8(4))
-	f.Add(valid, uint16(len(valid)/2), uint8(1))
-	f.Add([]byte{}, uint16(0), uint8(2))
+	f.Add(valid, uint16(0))
+	f.Add(valid, uint16(len(valid)/2))
+	f.Add([]byte{}, uint16(0))
 	for i := 0; i < len(valid); i += 7 {
-		f.Add(valid[:i], uint16(i/2), uint8(3))
+		f.Add(valid[:i], uint16(i/2))
 		c := append([]byte(nil), valid...)
 		c[i] ^= 0x55
-		f.Add(c, uint16(3*i), uint8(5))
+		f.Add(c, uint16(3*i))
 	}
 
 	magic := []byte("LTRC2\n")
 
-	f.Fuzz(func(t *testing.T, data []byte, split uint16, shards uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
 		if bytes.HasPrefix(data, []byte("LTRC1\n")) {
 			// Legacy logs have no markers: salvage handles them, the
 			// incremental decoder rejects them by contract.
@@ -63,11 +62,7 @@ func FuzzStreamParity(f *testing.F) {
 		}
 		slog, srep, serr := trace.Salvage(bytes.NewReader(data))
 
-		p := stream.New(stream.Options{
-			Shards:     int(shards%8) + 1,
-			SamplerBit: hb.AllEvents,
-			BatchSize:  int(shards)%300 + 1,
-		})
+		p := stream.New(stream.Options{})
 		cut := 0
 		if len(data) > 0 {
 			cut = int(split) % (len(data) + 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"literace/internal/core"
@@ -73,9 +74,9 @@ func mustBench(t *testing.T, key string) workloads.Benchmark {
 
 // runPipeline feeds data through a streaming pipeline in pieces of the
 // given sizes (cycled; {0} means all at once).
-func runPipeline(t *testing.T, data []byte, shards int, sizes []int) *stream.Result {
+func runPipeline(t *testing.T, data []byte, sizes []int) *stream.Result {
 	t.Helper()
-	return runPipelineOpts(t, data, stream.Options{Shards: shards, SamplerBit: hb.AllEvents}, sizes)
+	return runPipelineOpts(t, data, stream.Options{}, sizes)
 }
 
 // runPipelineOpts is runPipeline with explicit pipeline options.
@@ -101,8 +102,8 @@ func runPipelineOpts(t *testing.T, data []byte, opts stream.Options, sizes []int
 
 // checkParity asserts the streaming result matches a batch pass bit for
 // bit: the race list (order and evidence included), the counts, the
-// analyzed-op totals, the near-miss rows, and the shadow engines'
-// statistics summed over the shards.
+// analyzed-op totals, the near-miss rows, and the shadow engine's
+// statistics.
 func checkParity(t *testing.T, name string, got *stream.Result, want *hb.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Races, want.Races) {
@@ -144,8 +145,11 @@ func TestStreamParityBenchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if b.Key == "apache-1" && len(want.Races) == 0 {
+					t.Fatalf("seed %d produced no races; the race-list parity is vacuous", seed)
+				}
 
-				whole := runPipeline(t, data, 4, []int{0})
+				whole := runPipeline(t, data, []int{0})
 				checkParity(t, "whole", whole, want)
 				if !whole.Complete {
 					t.Fatal("complete log not recognized as complete")
@@ -160,15 +164,15 @@ func TestStreamParityBenchmarks(t *testing.T) {
 				// A live tail: cut mid-log (usually mid-chunk), feed the
 				// prefix, then the rest.
 				cut := len(data) / 3
-				torn := runPipeline(t, data, 4, []int{cut, len(data) - cut})
+				torn := runPipeline(t, data, []int{cut, len(data) - cut})
 				checkParity(t, "torn-then-completed", torn, want)
 
 				// Fine-grained feeding must not change anything.
-				drip := runPipeline(t, data, 4, []int{4 << 10})
+				drip := runPipeline(t, data, []int{4 << 10})
 				checkParity(t, "drip", drip, want)
 
 				// Forensic options: every race carries evidence and the
-				// per-shard near-miss rows merge to the batch table.
+				// near-miss rows equal the batch table.
 				fwant, err := hb.Detect(log, hb.Options{
 					SamplerBit: hb.AllEvents, Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
 				})
@@ -176,7 +180,7 @@ func TestStreamParityBenchmarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				forensic := runPipelineOpts(t, data, stream.Options{
-					Shards: 3, SamplerBit: hb.AllEvents, Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
+					Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
 				}, []int{977})
 				checkParity(t, "evidence+near-miss", forensic, fwant)
 				if len(fwant.Races) > 0 && fwant.Races[0].PrevEvidence == nil {
@@ -191,7 +195,7 @@ func TestStreamParityBenchmarks(t *testing.T) {
 // batch full-vector-clock reference (hb.DetectReference) reports: race
 // list with evidence, near-miss rows and counters. The reference keeps
 // no shadow statistics, so only the stream side's are checked, against
-// its own dispatch count.
+// its own analyzed-access count.
 func checkReference(t *testing.T, name string, got *stream.Result, want *hb.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Races, want.Races) {
@@ -205,15 +209,14 @@ func checkReference(t *testing.T, name string, got *stream.Result, want *hb.Resu
 			name, got.NumRaces, got.MemOps, got.SyncOps, want.NumRaces, want.MemOps, want.SyncOps)
 	}
 	if got.Epoch == nil || got.Epoch.Accesses != got.MemOps {
-		t.Fatalf("%s: shard statistics %+v do not account for %d dispatched accesses", name, got.Epoch, got.MemOps)
+		t.Fatalf("%s: engine statistics %+v do not account for %d analyzed accesses", name, got.Epoch, got.MemOps)
 	}
 }
 
 // TestStreamEpochMatchesBatchVC is the streaming half of the reference
-// parity gate: a sharded pipeline must report the exact race list —
-// order, attribution, evidence — the batch full-vector-clock reference
-// reports on the same bytes, for one shard and several, fed whole and
-// in pieces.
+// parity gate: the pipeline must report the exact race list — order,
+// attribution, evidence — the batch full-vector-clock reference reports
+// on the same bytes, fed whole and in pieces.
 func TestStreamEpochMatchesBatchVC(t *testing.T) {
 	for _, key := range []string{"dryad-stdlib", "concrt-msg", "apache-1", "lkrhash"} {
 		for _, seed := range []int64{1, 7} {
@@ -226,20 +229,16 @@ func TestStreamEpochMatchesBatchVC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 3} {
-				for _, piece := range []int{0, 977} {
-					got := runPipelineOpts(t, data, stream.Options{
-						Shards: shards, SamplerBit: hb.AllEvents, Evidence: true,
-					}, []int{piece})
-					checkReference(t, fmt.Sprintf("%s seed %d shards %d piece %d", key, seed, shards, piece), got, want)
-				}
+			for _, piece := range []int{0, 977} {
+				got := runPipelineOpts(t, data, stream.Options{Evidence: true}, []int{piece})
+				checkReference(t, fmt.Sprintf("%s seed %d piece %d", key, seed, piece), got, want)
 			}
 		}
 	}
 }
 
-// TestStreamEpochNearMissParity checks the per-shard near-miss rows
-// merge to the reference's table.
+// TestStreamEpochNearMissParity checks the pipeline's near-miss rows
+// equal the reference's table.
 func TestStreamEpochNearMissParity(t *testing.T) {
 	data := genLog(t, mustBench(t, "concrt-sched"), 3, 1)
 	log, err := trace.ReadAll(bytes.NewReader(data))
@@ -250,38 +249,11 @@ func TestStreamEpochNearMissParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runPipelineOpts(t, data, stream.Options{
-		Shards: 3, SamplerBit: hb.AllEvents, NearMissMargin: hb.DefaultNearMissMargin,
-	}, []int{0})
+	got := runPipelineOpts(t, data, stream.Options{NearMissMargin: hb.DefaultNearMissMargin}, []int{0})
 	if len(want.NearMisses) == 0 {
 		t.Fatal("reference found no near misses; the test is vacuous")
 	}
 	checkReference(t, "concrt-sched seed 3", got, want)
-}
-
-// TestStreamShardCountInvariance pins the partitioning correctness: any
-// shard count yields the identical ordered race list.
-func TestStreamShardCountInvariance(t *testing.T) {
-	b := mustBench(t, "apache-1")
-	data := genLog(t, b, 1, 1)
-	base := runPipeline(t, data, 1, []int{0})
-	if len(base.Races) == 0 {
-		t.Fatal("apache-1 produced no races; the invariance check is vacuous")
-	}
-	for _, shards := range []int{2, 3, 8} {
-		got := runPipeline(t, data, shards, []int{0})
-		if !reflect.DeepEqual(got.Races, base.Races) {
-			t.Fatalf("%d shards: races differ from 1 shard", shards)
-		}
-		var total uint64
-		for _, n := range got.ShardEvents {
-			total += n
-		}
-		if total != got.Dispatched || got.Dispatched != got.MemOps {
-			t.Fatalf("%d shards: %d shard events, %d dispatched, %d mem ops",
-				shards, total, got.Dispatched, got.MemOps)
-		}
-	}
 }
 
 // TestStreamDamagedParity checks the degraded path: on bit-flipped and
@@ -307,7 +279,7 @@ func TestStreamDamagedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runPipeline(t, mut, 4, []int{0, 777})
+		got := runPipeline(t, mut, []int{0, 777})
 		checkParity(t, "damaged", got, want)
 		if got.Degradation != *wdeg {
 			t.Fatalf("mutant %d: degradation %+v != batch %+v", i, got.Degradation, *wdeg)
@@ -318,15 +290,14 @@ func TestStreamDamagedParity(t *testing.T) {
 	}
 }
 
-// TestStreamOnRaceCallback checks the incremental reporting hook: every
-// race in the final result was also delivered via OnRace.
+// TestStreamOnRaceCallback checks the incremental reporting hook: OnRace
+// delivers exactly the final race list, in the same (replay) order.
 func TestStreamOnRaceCallback(t *testing.T) {
 	b := mustBench(t, "apache-1")
 	data := genLog(t, b, 3, 1)
-	var live int
+	var live []hb.DynamicRace
 	p := stream.New(stream.Options{
-		SamplerBit: hb.AllEvents,
-		OnRace:     func(hb.DynamicRace) { live++ },
+		OnRace: func(r hb.DynamicRace) { live = append(live, r) },
 	})
 	if err := p.Feed(data); err != nil {
 		t.Fatal(err)
@@ -335,17 +306,18 @@ func TestStreamOnRaceCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(live) != res.NumRaces {
-		t.Fatalf("OnRace fired %d times, result has %d races", live, res.NumRaces)
+	if !reflect.DeepEqual(live, res.Races) {
+		t.Fatalf("OnRace delivered %d races, result has %d; the sequences differ", len(live), len(res.Races))
 	}
 	if res.NumRaces == 0 {
 		t.Fatal("apache workload expected to race")
 	}
 }
 
-// TestStreamRejectsGarbage checks the failure path shuts the shard
-// workers down cleanly.
+// TestStreamRejectsGarbage checks the failure path, and that a pipeline
+// leaves no goroutine behind: it starts none.
 func TestStreamRejectsGarbage(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := stream.New(stream.Options{})
 	if err := p.Feed([]byte("GIF89a not a trace")); err == nil {
 		t.Fatal("garbage accepted")
@@ -355,5 +327,8 @@ func TestStreamRejectsGarbage(t *testing.T) {
 	}
 	if err := p.Feed([]byte("x")); err == nil {
 		t.Fatal("feed after finish succeeded")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before New, %d after Finish", before, after)
 	}
 }

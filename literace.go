@@ -543,22 +543,24 @@ type StreamRace struct {
 
 // StreamOptions configures a streaming detection session.
 type StreamOptions struct {
-	// Shards is the number of parallel detection workers (shadow memory
-	// partitioned by address); 0 means stream.DefaultShards.
+	// Shards is ignored.
+	//
+	// Deprecated: a session runs one detector on the goroutine that
+	// calls Feed.
 	Shards int
 	// Obs, when non-nil, receives live pipeline telemetry (the
 	// literace_stream_* metric families).
 	Obs *obs.Registry
 	// Diag, when non-nil, is the flight recorder: every pipeline stage
 	// records spans and every anomaly (CRC failure, sequence gap,
-	// resync, backpressure, backlog high-watermark, degrade transition)
+	// resync, backlog high-watermark, degrade transition)
 	// leaves a structured record for post-mortem inspection.
 	Diag *diag.Recorder
 	// Log, when non-nil, receives structured pipeline warnings (slog).
 	Log *slog.Logger
-	// OnRace, when non-nil, is invoked as each dynamic race is found —
-	// in discovery order, which under sharding is not replay order. The
-	// final Report is the canonical deduplicated view.
+	// OnRace, when non-nil, is invoked as each dynamic race is found, in
+	// replay order, on the goroutine that calls Feed or Finish. The final
+	// Report is the canonical deduplicated view.
 	OnRace func(StreamRace)
 	// Evidence enables forensic evidence capture (hb.Options.Evidence):
 	// every race in the final stream.Result carries immutable vector-
@@ -585,8 +587,6 @@ type StreamSession struct {
 func NewStreamSession(resolve func(int32) string, opts StreamOptions) *StreamSession {
 	s := &StreamSession{resolve: resolve}
 	popts := stream.Options{
-		Shards:         opts.Shards,
-		SamplerBit:     hb.AllEvents,
 		Obs:            opts.Obs,
 		Diag:           opts.Diag,
 		Log:            opts.Log,
