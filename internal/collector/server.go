@@ -364,12 +364,9 @@ func (s *Server) openSession(conn net.Conn, h Hello) (*session, int, HelloReply)
 	if sess == nil {
 		live := 0
 		for _, name := range s.names {
-			st := s.sessions[name]
-			st.mu.Lock()
-			if st.state == sessActive || st.state == sessParked {
+			if st := s.sessions[name].stateNow(); st == sessActive || st == sessParked {
 				live++
 			}
-			st.mu.Unlock()
 		}
 		if live >= s.maxSessions() {
 			s.mu.Unlock()
@@ -448,14 +445,12 @@ func (s *Server) tsPoller() {
 // sessionCounts tallies live sessions by state.
 func (s *Server) sessionCounts() (active, parked int) {
 	for _, sess := range s.snapshotSessions() {
-		sess.mu.Lock()
-		switch sess.state {
+		switch sess.stateNow() {
 		case sessActive:
 			active++
 		case sessParked:
 			parked++
 		}
-		sess.mu.Unlock()
 	}
 	return active, parked
 }
@@ -481,11 +476,11 @@ func (s *Server) finalizeSessionLocked(sess *session, ingestErr error) FinalRepl
 		sess.rep, sess.res, err = sess.pipe.Finish()
 	}
 	if err != nil {
-		sess.state = sessFailed
+		sess.setState(sessFailed)
 		sess.outErr = err
 		sess.rep, sess.res = nil, nil
 	} else {
-		sess.state = sessDone
+		sess.setState(sessDone)
 	}
 	sess.conn = nil
 	sess.backlog.Store(0)
@@ -595,22 +590,17 @@ func (s *Server) retireLocked() {
 	retain := s.retainFinalized()
 	resident := 0
 	for _, name := range s.names {
-		sess := s.sessions[name]
-		sess.mu.Lock()
-		if sess.state == sessDone || sess.state == sessFailed {
+		if st := s.sessions[name].stateNow(); st == sessDone || st == sessFailed {
 			resident++
 		}
-		sess.mu.Unlock()
 	}
 	if resident <= retain {
 		return
 	}
 	kept := s.names[:0]
 	for _, name := range s.names {
-		sess := s.sessions[name]
-		sess.mu.Lock()
-		final := sess.state == sessDone || sess.state == sessFailed
-		sess.mu.Unlock()
+		st := s.sessions[name].stateNow()
+		final := st == sessDone || st == sessFailed
 		if final && resident > retain {
 			delete(s.sessions, name)
 			resident--
@@ -911,14 +901,12 @@ func (s *Server) Health() *diag.Health {
 	nActive, nParked := 0, 0
 	var lag int64
 	for _, sess := range s.snapshotSessions() {
-		sess.mu.Lock()
-		switch sess.state {
+		switch sess.stateNow() {
 		case sessActive:
 			nActive++
 		case sessParked:
 			nParked++
 		}
-		sess.mu.Unlock()
 		lag += sess.backlog.Load()
 	}
 	maxLag := diag.DefaultSLO().MaxDecodeLag

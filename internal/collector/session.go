@@ -28,6 +28,16 @@ const (
 	sessFailed
 )
 
+// setState moves the session to st; the caller holds mu.
+func (s *session) setState(st sessionState) {
+	s.state = st
+	s.shown.Store(int32(st))
+}
+
+// stateNow reads the session's state without taking mu. A session only
+// moves forward to a final state, so a final reading stays true.
+func (s *session) stateNow() sessionState { return sessionState(s.shown.Load()) }
+
 func (st sessionState) String() string {
 	switch st {
 	case sessActive:
@@ -54,6 +64,10 @@ type session struct {
 
 	mu    sync.Mutex
 	state sessionState
+	// shown mirrors state for readers that must not wait behind frame
+	// processing: Health, the session counts, and the server-wide
+	// passes that run under Server.mu. setState writes both.
+	shown atomic.Int32
 	// gen is bumped on every attach; a connection goroutine only parks or
 	// finalizes the session if its generation is still current, so a
 	// takeover (producer reconnected while the old conn lingered) makes
@@ -130,7 +144,7 @@ func (s *session) attach(conn net.Conn) (next uint64, gen int, err error) {
 		}
 		s.reconnects++
 	case sessParked:
-		s.state = sessActive
+		s.setState(sessActive)
 		s.reconnects++
 	}
 	s.conn = conn
@@ -294,7 +308,7 @@ func (s *session) park(gen int) {
 	if s.gen != gen || s.state != sessActive {
 		return
 	}
-	s.state = sessParked
+	s.setState(sessParked)
 	s.parkedAt = time.Now()
 	s.conn = nil
 	s.srv.rec.Anomaly(diag.AnomDisconnect, -1, s.accepted, 0)

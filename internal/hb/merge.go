@@ -33,6 +33,14 @@ var (
 // over. In strict mode (MergerOptions.Degraded nil) a log that cannot
 // drain is an error; in degraded mode Finish fast-forwards stuck
 // timestamp counters and accounts every weakened ordering.
+//
+// The Merger owns its event storage: Add copies each chunk into the
+// thread's queue of fixed-size blocks, and a block whose events have all
+// been delivered goes onto a free list that any thread's next Add
+// reuses. A backlog of the whole log (a thread whose first event waits
+// on a chunk flushed at exit) therefore costs one copy per event and no
+// slice regrowth, and delivered events pin at most one spare block per
+// thread.
 type Merger struct {
 	deg       *Degradation
 	onDegrade func()
@@ -41,6 +49,7 @@ type Merger struct {
 	queues []*mergeQueue // ascending tid
 	byTID  map[int32]*mergeQueue
 	next   [trace.NumCounters]uint64
+	free   []*mergeBlock // delivered blocks, ready for reuse; at most one per queue
 
 	remaining  int
 	backlogHWM int
@@ -51,13 +60,27 @@ type Merger struct {
 	stalls, rounds, skips *obs.Counter
 }
 
-// mergeQueue is one thread's reorder buffer: the events that have
-// arrived but not yet been delivered.
+// mergeBlockLen is the number of events a mergeBlock holds. Small
+// enough that a partial tail block per thread stays cheap at hundreds of
+// threads (256 × 24 KiB), large enough that block handling is noise.
+const mergeBlockLen = 512
+
+// mergeBlock is one fixed-size segment of a thread's reorder buffer. It
+// holds no pointers, so the collector never scans the backlog.
+type mergeBlock [mergeBlockLen]trace.Event
+
+// mergeQueue is one thread's reorder buffer: a FIFO of blocks holding
+// the events that have arrived but not yet been delivered. The pending
+// events run from head[pos] (head is blocks[h]) to the last block's
+// [end-1]; n counts them.
 type mergeQueue struct {
 	tid         int32
-	evs         []trace.Event
-	pos         int
-	taken       uint64 // events already delivered and trimmed from evs
+	head        *mergeBlock
+	blocks      []*mergeBlock
+	h           int
+	pos, end    int
+	n           int
+	taken       uint64 // events already delivered
 	suspectFrom uint64 // absolute per-thread index of the first suspect event
 	hasSuspect  bool
 }
@@ -113,11 +136,11 @@ func (m *Merger) queue(tid int32) *mergeQueue {
 	return q
 }
 
-// Add appends one chunk of a thread's stream. suspectFrom is the index
-// within evs from which events follow a salvage loss (len(evs) or more
-// for "none", 0 for the whole chunk); once a thread turns suspect it
-// stays suspect. Adding to a finished merge returns ErrAddAfterFinish
-// and buffers nothing.
+// Add copies one chunk of a thread's stream into the merge; evs is not
+// retained. suspectFrom is the index within evs from which events follow
+// a salvage loss (len(evs) or more for "none", 0 for the whole chunk);
+// once a thread turns suspect it stays suspect. Adding to a finished
+// merge returns ErrAddAfterFinish and buffers nothing.
 func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 	if m.finished {
 		return ErrAddAfterFinish
@@ -128,14 +151,55 @@ func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 		if suspectFrom < 0 {
 			suspectFrom = 0
 		}
-		q.suspectFrom = q.taken + uint64(len(q.evs)) + uint64(suspectFrom)
+		q.suspectFrom = q.taken + uint64(q.n) + uint64(suspectFrom)
 	}
-	q.evs = append(q.evs, evs...)
+	q.n += len(evs)
 	m.remaining += len(evs)
 	if m.remaining > m.backlogHWM {
 		m.backlogHWM = m.remaining
 	}
+	for len(evs) > 0 {
+		if len(q.blocks) == 0 || q.end == mergeBlockLen {
+			var b *mergeBlock
+			if n := len(m.free); n > 0 {
+				b = m.free[n-1]
+				m.free = m.free[:n-1]
+			} else {
+				b = new(mergeBlock)
+			}
+			if len(q.blocks) == cap(q.blocks) && q.h > 0 {
+				// Slide the pending blocks down over the released ones
+				// instead of growing the slice.
+				k := copy(q.blocks, q.blocks[q.h:])
+				clear(q.blocks[k:])
+				q.blocks, q.h = q.blocks[:k], 0
+			}
+			q.blocks = append(q.blocks, b)
+			q.head, q.end = q.blocks[q.h], 0
+		}
+		c := copy(q.blocks[len(q.blocks)-1][q.end:], evs)
+		q.end += c
+		evs = evs[c:]
+	}
 	return nil
+}
+
+// release retires q's fully delivered head block: the next block
+// becomes the head, or the queue empties. The free list keeps one spare
+// block per thread, enough for steady streaming; the rest of a drained
+// backlog goes to the collector instead of staying pinned.
+func (m *Merger) release(q *mergeQueue) {
+	if len(m.free) < len(m.queues) {
+		m.free = append(m.free, q.head)
+	}
+	q.blocks[q.h] = nil
+	q.h++
+	q.pos = 0
+	if q.h < len(q.blocks) {
+		q.head = q.blocks[q.h]
+		return
+	}
+	q.blocks, q.h, q.head, q.end = q.blocks[:0], 0, nil, 0
 }
 
 // Backlog returns the number of buffered, not-yet-delivered events.
@@ -179,15 +243,15 @@ func (m *Merger) Pump(fn func(trace.Event) error) error {
 		m.rounds.Inc()
 		for _, q := range m.queues {
 			// Drain this thread greedily until it blocks on a timestamp.
-			blocked := false
-			for !blocked && q.pos < len(q.evs) {
-				e := q.evs[q.pos]
+		drain:
+			for q.n > 0 {
+				e := &q.head[q.pos]
 				if e.Kind.IsSync() {
 					switch {
 					case int(e.Counter) >= trace.NumCounters:
 						if m.deg == nil {
 							return fmt.Errorf("hb: thread %d event %d: bad counter %d",
-								q.tid, q.taken+uint64(q.pos), e.Counter)
+								q.tid, q.taken, e.Counter)
 						}
 						// Corrupt counter id: deliver unordered.
 						m.deg.BadCounters++
@@ -203,29 +267,27 @@ func (m *Merger) Pump(fn func(trace.Event) error) error {
 					default:
 						m.nStalls++
 						m.stalls.Inc()
-						blocked = true
-						continue
+						break drain
 					}
 				}
-				if m.deg != nil && q.hasSuspect && q.taken+uint64(q.pos) >= q.suspectFrom {
+				if m.deg != nil && q.hasSuspect && q.taken >= q.suspectFrom {
 					m.deg.SuspectEvents++
 					m.markDegraded()
 				}
-				q.pos++
+				ev := *e
+				q.taken++
+				q.n--
+				if q.pos++; q.pos == mergeBlockLen || q.n == 0 {
+					// The head block is spent (or the queue drained):
+					// recycle it so the next Add reuses it.
+					m.release(q)
+				}
 				m.remaining--
 				m.delivered++
 				progressed = true
-				if err := fn(e); err != nil {
+				if err := fn(ev); err != nil {
 					return err
 				}
-			}
-			// Trim the delivered prefix so a long-running stream does not
-			// hold every past event (the capacity stays warm for the next
-			// chunk).
-			if q.pos > 0 && q.pos == len(q.evs) {
-				q.taken += uint64(q.pos)
-				q.evs = q.evs[:0]
-				q.pos = 0
 			}
 		}
 		if !progressed {
@@ -260,35 +322,34 @@ func (m *Merger) Finish(fn func(trace.Event) error) error {
 		// fast-forward the counter with the smallest gap, which weakens
 		// exactly the orderings that depended on the lost events and
 		// nothing else.
-		best := (*mergeQueue)(nil)
+		var best *trace.Event
 		bestGap := uint64(0)
 		for _, q := range m.queues {
-			if q.pos >= len(q.evs) {
+			if q.n == 0 {
 				continue
 			}
-			e := q.evs[q.pos]
+			e := &q.head[q.pos]
 			gap := e.TS - m.next[e.Counter]
 			if best == nil || gap < bestGap {
-				best, bestGap = q, gap
+				best, bestGap = e, gap
 			}
 		}
 		if best == nil {
 			// remaining > 0 guarantees a pending stream; defensive.
 			return fmt.Errorf("hb: degraded replay stuck with no pending events")
 		}
-		e := best.evs[best.pos]
 		m.markDegraded()
 		m.deg.Skips++
 		m.deg.SlotsSkipped += bestGap
 		m.skips.Add(bestGap)
-		m.next[e.Counter] = e.TS
+		m.next[best.Counter] = best.TS
 	}
 }
 
 func (m *Merger) stuckError() error {
 	for _, q := range m.queues {
-		if q.pos < len(q.evs) {
-			e := q.evs[q.pos]
+		if q.n > 0 {
+			e := &q.head[q.pos]
 			return fmt.Errorf("hb: replay stuck: thread %d waiting for counter %d ts %d (have %d); log is corrupt or incomplete",
 				q.tid, e.Counter, e.TS, m.next[e.Counter])
 		}

@@ -12,7 +12,8 @@
 // and this pipeline accept chunks with the same trace.Stream, batch
 // replay and this pipeline feed the same chunk sequence (the log's byte
 // order) through the same hb.Merger, and both hand the merged events to
-// the same hb.Detector type.
+// the same hb.Detector type. literace.Detect and DetectSalvaged are this
+// pipeline fed a whole input (Options.Strict for Detect).
 package stream
 
 import (
@@ -54,6 +55,12 @@ type Options struct {
 	// NearMissMargin enables near-miss analytics as
 	// hb.Options.NearMissMargin does.
 	NearMissMargin int
+	// Strict gives the pipeline trace.ReadAll + hb.Detect's contract
+	// instead of salvage's: the merge runs in strict mode, its first
+	// error is sticky, and Finish fails on any lost byte (the
+	// decoder's SalvageReport.Err) before reporting that error. Only
+	// whole-input callers set it; a live session wants salvage.
+	Strict bool
 }
 
 // Result is the outcome of a streaming detection pass.
@@ -104,6 +111,7 @@ type Pipeline struct {
 	finished bool
 	finRes   *Result
 	finErr   error
+	mergeErr error // first strict-mode merge error; sticky
 
 	// Flight recorder + structured log (both may be nil).
 	rec *diag.Recorder
@@ -162,11 +170,11 @@ func New(opts Options) *Pipeline {
 		p.obsStalls = reg.Gauge("stream.reorder_stalls")
 		p.obsEPS = reg.Gauge("stream.events_per_sec")
 	}
-	p.m = hb.NewMerger(hb.MergerOptions{
-		Obs:       opts.Obs,
-		Degraded:  &p.deg,
-		OnDegrade: p.onDegrade,
-	})
+	mo := hb.MergerOptions{Obs: opts.Obs}
+	if !opts.Strict {
+		mo.Degraded, mo.OnDegrade = &p.deg, p.onDegrade
+	}
+	p.m = hb.NewMerger(mo)
 	p.dec = trace.NewStream(p.onChunk)
 	return p
 }
@@ -189,6 +197,9 @@ func (p *Pipeline) onDegrade() {
 // order and pumps the merge — the canonical per-chunk cadence batch
 // replay follows via trace.Log.ChunkOrder.
 func (p *Pipeline) onChunk(tid int32, evs []trace.Event, suspect bool) {
+	if p.mergeErr != nil {
+		return
+	}
 	sf := len(evs)
 	if suspect {
 		sf = 0
@@ -208,8 +219,9 @@ func (p *Pipeline) onChunk(tid int32, evs []trace.Event, suspect bool) {
 		}
 		return
 	}
-	// handle never fails, and degraded-mode pumping has no other errors.
-	_ = p.m.Pump(p.handle)
+	// handle never fails, and degraded-mode pumping has no other errors;
+	// a strict merge fails on a bad counter.
+	p.mergeErr = p.m.Pump(p.handle)
 	p.obsBacklog.Set(float64(p.m.Backlog()))
 	p.obsHWM.Set(float64(p.m.BacklogHighWater()))
 	if p.rec != nil {
@@ -359,8 +371,9 @@ func (p *Pipeline) Probe() diag.Probe {
 
 // Finish declares the input over: the decoder applies its end-of-input
 // rules to any torn tail and the merge drains (fast-forwarding stuck
-// counters on damaged input). Finish is idempotent; Feed errors
-// afterwards.
+// counters on damaged input). A Strict pipeline fails instead, with
+// ReadAll's damaged-log error when the decoder lost anything, else the
+// merge's error. Finish is idempotent; Feed errors afterwards.
 func (p *Pipeline) Finish() (*Result, error) {
 	if p.finished {
 		return p.finRes, p.finErr
@@ -376,7 +389,21 @@ func (p *Pipeline) Finish() (*Result, error) {
 		// The end-of-input rules may drop a torn tail; account it.
 		p.recordSalvageAnomalies()
 	}
-	_ = p.m.Finish(p.handle)
+	if p.opts.Strict {
+		err = srep.Err()
+	}
+	if err == nil {
+		err = p.mergeErr
+	}
+	if err == nil {
+		err = p.m.Finish(p.handle)
+	}
+	if err != nil {
+		// Only a strict merge fails: the pass publishes nothing more,
+		// as hb.Detect does.
+		p.finErr = err
+		return nil, err
+	}
 
 	res := &Result{
 		Result:      *p.det.Result(),

@@ -382,14 +382,14 @@ type Log struct {
 	ChunkOrder []ChunkRef
 }
 
-// markDegraded marks tid suspect from its current end of stream on,
-// unless an earlier loss already marked it.
-func (l *Log) markDegraded(tid int32) {
+// markDegraded marks tid suspect from event index at on, unless an
+// earlier loss already marked it.
+func (l *Log) markDegraded(tid int32, at int) {
 	if l.Degraded == nil {
 		l.Degraded = make(map[int32]int)
 	}
 	if _, ok := l.Degraded[tid]; !ok {
-		l.Degraded[tid] = len(l.Threads[tid])
+		l.Degraded[tid] = at
 	}
 }
 
@@ -433,8 +433,8 @@ func ReadAll(r io.Reader) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rep.Lossy() {
-		return nil, fmt.Errorf("trace: damaged log (%s)", rep.Summary())
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
 	return log, nil
 }
@@ -445,16 +445,22 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 	var hdr [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], tag)
 	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:n])
-	return crc32.Update(crc, crc32.IEEETable, payload)
+	// The header bytes go through the table by hand: handing hdr to
+	// crc32 would move it to the heap, one allocation per chunk.
+	crc := ^uint32(0)
+	for _, b := range hdr[:n] {
+		crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, payload)
 }
 
 // decodeEventsPrefix decodes as many complete events as payload holds,
-// returning them alongside the number of bytes consumed. A decode failure
-// returns the events decoded so far, the offset of the bad event, and the
-// error; the decoders keep the prefix.
-func decodeEventsPrefix(tid int32, payload []byte) ([]Event, int, error) {
-	var evs []Event
+// appending them to dst, and returns the extended slice alongside the
+// number of bytes consumed. A decode failure returns the events decoded
+// so far, the offset of the bad event, and the error; the decoders keep
+// the prefix.
+func decodeEventsPrefix(dst []Event, tid int32, payload []byte) ([]Event, int, error) {
+	evs := dst
 	total := len(payload)
 	for len(payload) > 0 {
 		consumed := total - len(payload)

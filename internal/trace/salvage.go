@@ -74,6 +74,15 @@ func (r *SalvageReport) Lossy() bool {
 		r.SeqGaps > 0 || r.Truncated || r.MetaSource != "trailer"
 }
 
+// Err is the strict decoders' verdict on the input: nil when nothing
+// was lost, otherwise the damaged-log error ReadAll returns.
+func (r *SalvageReport) Err() error {
+	if !r.Lossy() {
+		return nil
+	}
+	return fmt.Errorf("trace: damaged log (%s)", r.Summary())
+}
+
 // Summary renders the report as one diagnostic line.
 func (r *SalvageReport) Summary() string {
 	state := "clean"
@@ -138,13 +147,23 @@ const readPiece = 64 << 10
 // as it arrives, and the Log is assembled from the chunks the Stream
 // accepts. An LTRC1 log, which a Stream cannot resynchronize, goes to
 // salvageV1 whole.
+//
+// Each emitted chunk is copied into an exact-size slice kept per thread
+// (the Stream reuses its event buffer); once the input is over, each
+// thread's chunks are flattened into one exact-size stream, so no slice
+// grows by doubling and a Log costs about two copies of its events.
 func decode(r io.Reader) (*Log, *SalvageReport, error) {
 	log := &Log{Threads: make(map[int32][]Event)}
+	chunks := make(map[int32][][]Event)
+	counts := make(map[int32]int)
 	s := NewStream(func(tid int32, evs []Event, suspect bool) {
 		if suspect {
-			log.markDegraded(tid)
+			log.markDegraded(tid, counts[tid])
 		}
-		log.Threads[tid] = append(log.Threads[tid], evs...)
+		c := make([]Event, len(evs))
+		copy(c, evs)
+		chunks[tid] = append(chunks[tid], c)
+		counts[tid] += len(evs)
 		log.ChunkOrder = append(log.ChunkOrder, ChunkRef{TID: tid, N: len(evs)})
 	})
 	piece := make([]byte, readPiece)
@@ -177,6 +196,18 @@ func decode(r io.Reader) (*Log, *SalvageReport, error) {
 		// producer that died there, but a file that short is no log.
 		return nil, nil, errNotALog
 	}
+	for tid, cs := range chunks {
+		if len(cs) == 1 {
+			log.Threads[tid] = cs[0]
+			continue
+		}
+		evs := make([]Event, 0, counts[tid])
+		for i, c := range cs {
+			evs = append(evs, c...)
+			cs[i] = nil // let the copied chunk go
+		}
+		log.Threads[tid] = evs
+	}
 	// A thread whose accepted chunks held no events still has a stream,
 	// and a loss after a thread's last accepted chunk still marks it.
 	for tid := range s.lastSeq {
@@ -185,7 +216,7 @@ func decode(r io.Reader) (*Log, *SalvageReport, error) {
 		}
 	}
 	for tid := range s.suspect {
-		log.markDegraded(tid)
+		log.markDegraded(tid, len(log.Threads[tid]))
 	}
 	log.Meta = s.Meta()
 	return log, rep, nil
@@ -302,7 +333,7 @@ func salvageV1(data []byte) (*Log, *SalvageReport) {
 		}
 		tid := int32(uint32(tag - 1))
 		tl := rep.thread(tid)
-		evs, consumed, derr := decodeEventsPrefix(tid, payload)
+		evs, consumed, derr := decodeEventsPrefix(nil, tid, payload)
 		tl.EventsSalvaged += len(evs)
 		rep.EventsSalvaged += len(evs)
 		log.Threads[tid] = append(log.Threads[tid], evs...)
@@ -313,7 +344,7 @@ func salvageV1(data []byte) (*Log, *SalvageReport) {
 			// Without CRCs a bad event byte may mean anything; keep the
 			// prefix and stop trusting the remainder of the stream.
 			tl.DroppedBytes += int64(len(payload) - consumed)
-			log.markDegraded(tid)
+			log.markDegraded(tid, len(log.Threads[tid]))
 			rep.BytesOK += int64(off-start) - int64(len(payload)-consumed)
 			rep.BytesDropped += int64(len(payload) - consumed)
 			rep.Truncated = true

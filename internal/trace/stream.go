@@ -34,10 +34,13 @@ type Stream struct {
 	// decoded events and whether the thread's stream is suspect at this
 	// point (it follows a salvage loss — a dropped chunk or sequence gap —
 	// so orderings derived from these events are no longer trustworthy).
+	// events is the decoder's scratch: valid only during the call.
 	emit func(tid int32, events []Event, suspect bool)
 
-	buf  []byte // unconsumed input
-	base int64  // absolute offset of buf[0] in the full input
+	buf   []byte  // unconsumed input, a window of store
+	store []byte  // retained input buffer; Feed moves buf to its front
+	evs   []Event // decode scratch, reused for every chunk
+	base  int64   // absolute offset of buf[0] in the full input
 
 	magicDone bool
 	finished  bool
@@ -65,7 +68,9 @@ type Stream struct {
 }
 
 // NewStream returns an incremental decoder delivering accepted thread
-// chunks to emit (which may be nil to decode for the report alone).
+// chunks to emit (which may be nil to decode for the report alone). The
+// events slice emit receives is reused for the next chunk: it is valid
+// only during the call, so a consumer that keeps events copies them.
 func NewStream(emit func(tid int32, events []Event, suspect bool)) *Stream {
 	return &Stream{
 		emit:    emit,
@@ -91,7 +96,7 @@ func (s *Stream) Feed(p []byte) error {
 		return s.err
 	}
 	s.rep.TotalBytes += int64(len(p))
-	s.buf = append(s.buf, p...)
+	s.append(p)
 	if !s.magicDone {
 		if len(s.buf) < len(magic) {
 			// Reject early when the prefix can no longer extend to a magic.
@@ -169,6 +174,24 @@ func (s *Stream) Meta() Meta { return s.meta }
 // Buffered returns the number of bytes held waiting for a chunk to
 // complete.
 func (s *Stream) Buffered() int { return len(s.buf) }
+
+// append adds p after the unconsumed input. The remainder, at most one
+// partial chunk, moves to the front of the retained buffer first, so the
+// buffer grows only to the largest remainder plus piece ever seen
+// instead of being reallocated whenever a chunk straddles two pieces.
+func (s *Stream) append(p []byte) {
+	n := len(s.buf)
+	if n+len(p) > cap(s.store) {
+		grown := make([]byte, n+len(p), max(n+len(p), 2*cap(s.store)))
+		copy(grown, s.buf)
+		s.store = grown
+	} else {
+		copy(s.store[:n], s.buf)
+		s.store = s.store[:n+len(p)]
+	}
+	copy(s.store[n:], p)
+	s.buf = s.store
+}
 
 func (s *Stream) consume(n int) {
 	s.base += int64(n)
@@ -335,7 +358,8 @@ func (s *Stream) parse(final bool) {
 				s.markSuspect(tid)
 			}
 			s.lastSeq[tid] = seq
-			evs, n, derr := decodeEventsPrefix(tid, rest)
+			evs, n, derr := decodeEventsPrefix(s.evs[:0], tid, rest)
+			s.evs = evs
 			tl.EventsSalvaged += len(evs)
 			s.rep.EventsSalvaged += len(evs)
 			suspect := s.suspect[tid]

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -323,5 +324,41 @@ func TestStreamFeedAfterFinish(t *testing.T) {
 	}
 	if err := s.Feed([]byte{1}); err == nil {
 		t.Fatal("feed after finish succeeded")
+	}
+}
+
+// TestStreamFeedAllocsBoundedByPieces pins that feeding a clean log in
+// many pieces allocates a bounded working set — the retained input
+// buffer and the decode scratch — instead of a fresh buffer whenever a
+// chunk straddles two pieces, which made the decoder's garbage grow
+// with the input.
+func TestStreamFeedAllocsBoundedByPieces(t *testing.T) {
+	data, _ := buildLog(t, 21, 4, 20000, 300)
+	const piece = 4 << 10
+	pieces := (len(data) + piece - 1) / piece
+	run := func() {
+		s := NewStream(func(int32, []Event, bool) {})
+		for off := 0; off < len(data); off += piece {
+			if err := s.Feed(data[off:min(off+piece, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes in %d pieces: %.0f allocs, %d bytes allocated", len(data), pieces, allocs, bytes)
+	// What remains is per decoder and per metadata checkpoint.
+	if allocs > float64(pieces)/2 {
+		t.Errorf("%.0f allocations for %d pieces; want well under one per piece", allocs, pieces)
+	}
+	if limit := uint64(len(data) / 8); bytes > limit {
+		t.Errorf("allocated %d bytes decoding a %d-byte log; want < %d (bounded by piece and chunk size)", bytes, len(data), limit)
 	}
 }

@@ -23,6 +23,7 @@ package literace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -293,9 +294,7 @@ func (p *Program) Run(cfg Config) (*RunResult, error) {
 	}
 	if online != nil {
 		out.onlineRes = online.Result()
-		set := race.NewSet()
-		set.AddResult(out.onlineRes)
-		out.OnlineReport = buildReport(set, meta, out.onlineRes, p.FuncName)
+		out.OnlineReport = buildReport(out.onlineRes, meta, p.FuncName)
 	}
 	return out, nil
 }
@@ -391,61 +390,136 @@ func (r *Report) String() string {
 
 // Detect runs the offline happens-before analysis over an encoded log.
 // resolve maps original function indices to names; pass nil for raw
-// indices, or Program.FuncName for source names.
+// indices, or Program.FuncName for source names. A log that lost any
+// byte, or cannot be replayed, is an error (use DetectSalvaged for
+// damaged logs).
+//
+// The log is not materialized: it is read in 64 KiB pieces into the
+// streaming pipeline (docs/STREAMING.md) — one chunk decoder, the
+// ready-queue merge and one hb.Detector — exactly as a live
+// StreamSession would analyze the same bytes. A legacy LTRC1 log, which
+// the pipeline cannot decode, is read whole instead.
 func Detect(log io.Reader, resolve func(int32) string) (*Report, error) {
 	return DetectObs(log, resolve, nil)
 }
 
-// DetectObs is Detect with telemetry: when reg is non-nil the decode,
-// replay, and detection phases record spans and the detector publishes
-// its counters (vector-clock joins, replay stalls, races found) into reg.
+// DetectObs is Detect with telemetry: when reg is non-nil the pass
+// records one "detect" span (items = events analyzed) and the pipeline
+// publishes its counters (replay stalls, vector-clock joins, races
+// found, stream.*) into reg.
 func DetectObs(log io.Reader, resolve func(int32) string, reg *obs.Registry) (*Report, error) {
-	span := reg.StartSpan("decode")
-	decoded, err := trace.ReadAll(log)
-	if err != nil {
-		return nil, err
-	}
-	span.EndItems(uint64(decoded.NumEvents()))
-	span = reg.StartSpan("replay+detect")
-	res, err := hb.Detect(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg})
-	if err != nil {
-		return nil, err
-	}
-	span.EndItems(res.MemOps + res.SyncOps)
-	set := race.NewSet()
-	set.AddResult(res)
-	return buildReport(set, decoded.Meta, res, resolve), nil
+	rep, _, err := detect(log, resolve, reg, true)
+	return rep, err
 }
 
-// DetectSalvaged analyzes a possibly damaged log: the log is decoded with
-// trace.Salvage (dropping corrupt chunks and resyncing), replayed in
-// degraded mode (hb.ReplayDegraded), and races first observed after any
-// ordering was weakened are tagged unconfirmed. The returned SalvageReport
-// describes the damage; Report.Degraded is set when either salvage lost
-// data or the replay had to weaken orderings. Confirmed races keep the
-// zero-false-positive guarantee. reg may be nil.
+// DetectSalvaged analyzes a possibly damaged log: damaged chunks are
+// dropped and the decoder resynchronizes (trace.Salvage's rules), the
+// merge runs in degraded mode (hb.ReplayDegraded), and races first
+// observed after any ordering was weakened are tagged unconfirmed. The
+// returned SalvageReport describes the damage; Report.Degraded is set
+// when either salvage lost data or the replay had to weaken orderings.
+// Confirmed races keep the zero-false-positive guarantee. reg may be
+// nil; when set it also counts trace.crc_failures and
+// trace.salvaged_chunks. It runs the same pipeline as Detect.
 func DetectSalvaged(log io.Reader, resolve func(int32) string, reg *obs.Registry) (*Report, *trace.SalvageReport, error) {
-	span := reg.StartSpan("salvage")
-	decoded, srep, err := trace.SalvageObs(log, reg)
+	return detect(log, resolve, reg, false)
+}
+
+// detectPiece is the size of the reads detect feeds the pipeline.
+const detectPiece = 64 << 10
+
+// magicLen is the length of the LTRC2 and LTRC1 magics: a
+// trace.Stream fed that many bytes has accepted LTRC2 or failed.
+const magicLen = 6
+
+// detect is Detect (strict) and DetectSalvaged: the whole input fed
+// through one stream.Pipeline. The batch decoders take over for input
+// the pipeline cannot decode: an LTRC1 log, and one too short to hold a
+// magic (which they reject).
+func detect(r io.Reader, resolve func(int32) string, reg *obs.Registry, strict bool) (*Report, *trace.SalvageReport, error) {
+	span := reg.StartSpan("detect")
+	p := stream.New(stream.Options{Obs: reg, Strict: strict})
+	var head []byte // the input's first magicLen bytes
+	piece := make([]byte, detectPiece)
+	for {
+		n, err := r.Read(piece)
+		if n > 0 {
+			switch ferr := p.Feed(piece[:n]); {
+			case errors.Is(ferr, trace.ErrLegacyStream):
+				in := io.MultiReader(bytes.NewReader(head), bytes.NewReader(piece[:n]), r)
+				return detectBatch(in, resolve, reg, strict, span)
+			case ferr != nil:
+				return nil, nil, ferr
+			}
+			if len(head) < magicLen {
+				head = append(head, piece[:min(n, magicLen-len(head))]...)
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: reading log: %w", err)
+		}
+	}
+	if len(head) < magicLen {
+		return detectBatch(bytes.NewReader(head), resolve, reg, strict, span)
+	}
+	res, err := p.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
-	span.EndItems(uint64(decoded.NumEvents()))
-	span = reg.StartSpan("replay+detect")
-	res, deg, err := hb.DetectDegraded(decoded, hb.Options{SamplerBit: hb.AllEvents, Obs: reg})
+	if !strict {
+		reg.Counter("trace.crc_failures").Add(uint64(res.Salvage.CRCFailures))
+		reg.Counter("trace.salvaged_chunks").Add(uint64(res.Salvage.ChunksOK))
+	}
+	span.EndItems(res.MemOps + res.SyncOps)
+	return streamReport(res, resolve), res.Salvage, nil
+}
+
+// detectBatch is detect over a decoded *trace.Log: trace.ReadAll +
+// hb.Detect when strict, trace.SalvageObs + hb.DetectDegraded when not.
+func detectBatch(r io.Reader, resolve func(int32) string, reg *obs.Registry, strict bool, span *obs.Span) (*Report, *trace.SalvageReport, error) {
+	opts := hb.Options{SamplerBit: hb.AllEvents, Obs: reg}
+	if strict {
+		decoded, err := trace.ReadAll(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := hb.Detect(decoded, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		span.EndItems(res.MemOps + res.SyncOps)
+		return buildReport(res, decoded.Meta, resolve), nil, nil
+	}
+	decoded, srep, err := trace.SalvageObs(r, reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, deg, err := hb.DetectDegraded(decoded, opts)
 	if err != nil {
 		return nil, srep, err
 	}
 	span.EndItems(res.MemOps + res.SyncOps)
-	set := race.NewSet()
-	set.AddResult(res)
-	rep := buildReport(set, decoded.Meta, res, resolve)
+	rep := buildReport(res, decoded.Meta, resolve)
 	rep.Degraded = deg.Degraded() || srep.Lossy()
 	rep.DegradedSkips = deg.SlotsSkipped
 	return rep, srep, nil
 }
 
-func buildReport(set *race.Set, meta trace.Meta, res *hb.Result, resolve func(int32) string) *Report {
+// streamReport builds the Report of a finished pipeline pass.
+func streamReport(res *stream.Result, resolve func(int32) string) *Report {
+	rep := buildReport(&res.Result, res.Meta, resolve)
+	rep.Degraded = res.Degradation.Degraded() || res.Salvage.Lossy()
+	rep.DegradedSkips = res.Degradation.SlotsSkipped
+	return rep
+}
+
+// buildReport aggregates a detection result into a Report.
+func buildReport(res *hb.Result, meta trace.Meta, resolve func(int32) string) *Report {
+	set := race.NewSet()
+	set.AddResult(res)
 	if resolve == nil {
 		resolve = func(f int32) string { return fmt.Sprintf("fn%d", f) }
 	}
@@ -646,12 +720,7 @@ func (s *StreamSession) Finish() (*Report, *stream.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	set := race.NewSet()
-	set.AddResult(&res.Result)
-	rep := buildReport(set, res.Meta, &res.Result, s.resolve)
-	rep.Degraded = res.Degradation.Degraded() || res.Salvage.Lossy()
-	rep.DegradedSkips = res.Degradation.SlotsSkipped
-	return rep, res, nil
+	return streamReport(res, s.resolve), res, nil
 }
 
 // VerifyLog checks an encoded log's structural invariants beyond what
