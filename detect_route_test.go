@@ -13,6 +13,7 @@ import (
 	"literace/internal/obs"
 	"literace/internal/trace"
 	"literace/internal/trace/faultinject"
+	"literace/internal/workloads"
 )
 
 // Detect and DetectSalvaged run the stream pipeline over their input.
@@ -210,5 +211,40 @@ func checkDetectRouteCorpus(t *testing.T, data []byte) {
 	t.Logf("%d inputs failed strict detection, %d passed; %d chunks", strictErrs, clean, len(spans))
 	if strictErrs == 0 || clean < 2 {
 		t.Fatalf("corpus not exercising both outcomes: %d strict errors, %d clean", strictErrs, clean)
+	}
+}
+
+// TestFullLogBacklogStaysSmall pins what the writer's flush-after-fork
+// rule buys: on a full log the merge delivers while the log is read, so
+// its backlog peaks at a few percent of the events instead of nearly
+// all of them (a thread holding the forks every worker waits on would
+// otherwise flush them only at exit).
+func TestFullLogBacklogStaysSmall(t *testing.T) {
+	for _, key := range []string{"dryad", "concrt-msg", "apache-1"} {
+		b, ok := workloads.ByKey(key)
+		if !ok {
+			t.Fatalf("unknown workload %s", key)
+		}
+		p, err := Assemble(b.Key, b.Source(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Instrument(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := p.Run(Config{Sampler: "Full", Seed: 1, LogTo: &buf}); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		if _, err := DetectObs(bytes.NewReader(buf.Bytes()), nil, reg); err != nil {
+			t.Fatal(err)
+		}
+		events := reg.Counter("stream.events").Value()
+		hwm := reg.Gauge("stream.backlog_hwm").Value()
+		t.Logf("%s: backlog high water %.0f of %d events", key, hwm, events)
+		if events == 0 || hwm > 0.03*float64(events) {
+			t.Errorf("%s: merge backlog peaked at %.0f of %d events, want <= 3%%", key, hwm, events)
+		}
 	}
 }

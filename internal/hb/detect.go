@@ -284,13 +284,16 @@ func PublishShadowCells(reg *obs.Registry, s *shadow.Stats) {
 	}
 }
 
+// processRun is a Merger consumer that feeds each run to the detector.
+func (d *Detector) processRun(run []trace.Event) (int, error) {
+	d.ProcessBatch(run)
+	return len(run), nil
+}
+
 // Detect replays log and runs happens-before detection over it.
 func Detect(log *trace.Log, opts Options) (*Result, error) {
 	d := NewDetector(opts)
-	if err := ReplayObs(log, opts.Obs, func(e trace.Event) error {
-		d.Process(e)
-		return nil
-	}); err != nil {
+	if _, err := replay(log, opts.Obs, nil, nil, d.processRun); err != nil {
 		return nil, err
 	}
 	d.publish()
@@ -303,10 +306,7 @@ func Detect(log *trace.Log, opts Options) (*Result, error) {
 // subset keeps the no-false-positive guarantee.
 func DetectDegraded(log *trace.Log, opts Options) (*Result, *Degradation, error) {
 	d := NewDetector(opts)
-	deg, err := ReplayDegraded(log, opts.Obs, d.MarkDegraded, func(e trace.Event) error {
-		d.Process(e)
-		return nil
-	})
+	deg, err := replay(log, opts.Obs, &Degradation{}, d.MarkDegraded, d.processRun)
 	if err != nil {
 		return nil, nil, err
 	}

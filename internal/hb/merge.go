@@ -34,13 +34,19 @@ var (
 // drain is an error; in degraded mode Finish fast-forwards stuck
 // timestamp counters and accounts every weakened ordering.
 //
+// Events are delivered in runs: slices of one thread's pending events,
+// handed to the consumer without a copy (see Pump). Cutting the order
+// into runs does not change it; a run saves the per-event call and copy.
+//
 // The Merger owns its event storage: Add copies each chunk into the
 // thread's queue of fixed-size blocks, and a block whose events have all
 // been delivered goes onto a free list that any thread's next Add
-// reuses. A backlog of the whole log (a thread whose first event waits
-// on a chunk flushed at exit) therefore costs one copy per event and no
-// slice regrowth, and delivered events pin at most one spare block per
-// thread.
+// reuses. The writer flushes a thread's buffer after every fork (see
+// trace.ThreadWriter.Append), so on a full log the backlog stays near a
+// chunk per thread; a log whose first events wait on a chunk flushed at
+// exit still costs one copy per event and no slice regrowth. The free
+// list holds at most mergeFreeMax blocks, so delivered events pin a
+// fixed amount of memory whatever the thread count.
 type Merger struct {
 	deg       *Degradation
 	onDegrade func()
@@ -49,7 +55,7 @@ type Merger struct {
 	queues []*mergeQueue // ascending tid
 	byTID  map[int32]*mergeQueue
 	next   [trace.NumCounters]uint64
-	free   []*mergeBlock // delivered blocks, ready for reuse; at most one per queue
+	free   []*mergeBlock // delivered blocks, ready for reuse; at most mergeFreeMax
 
 	remaining  int
 	backlogHWM int
@@ -64,6 +70,13 @@ type Merger struct {
 // enough that a partial tail block per thread stays cheap at hundreds of
 // threads (256 × 24 KiB), large enough that block handling is noise.
 const mergeBlockLen = 512
+
+// mergeFreeMax caps the free list. Steady streaming recycles a block
+// per thread that crosses a block boundary between two Adds, so with a
+// handful of threads every block is reused; at hundreds of threads the
+// cap keeps delivered blocks (24 KiB each) from piling up on the list
+// instead of going back to the collector.
+const mergeFreeMax = 8
 
 // mergeBlock is one fixed-size segment of a thread's reorder buffer. It
 // holds no pointers, so the collector never scans the backlog.
@@ -185,11 +198,11 @@ func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 }
 
 // release retires q's fully delivered head block: the next block
-// becomes the head, or the queue empties. The free list keeps one spare
-// block per thread, enough for steady streaming; the rest of a drained
-// backlog goes to the collector instead of staying pinned.
+// becomes the head, or the queue empties. The free list keeps up to
+// mergeFreeMax spare blocks; the rest of a drained backlog goes to the
+// collector instead of staying pinned.
 func (m *Merger) release(q *mergeQueue) {
-	if len(m.free) < len(m.queues) {
+	if len(m.free) < mergeFreeMax {
 		m.free = append(m.free, q.head)
 	}
 	q.blocks[q.h] = nil
@@ -229,12 +242,52 @@ func (m *Merger) markDegraded() {
 	}
 }
 
+// syncClass is how the merge treats a sync event it reaches.
+type syncClass uint8
+
+const (
+	syncNone  syncClass = iota // not a sync event
+	syncReady                  // its timestamp is the next on its counter
+	// syncStale: its slot already passed, the signature of a duplicated
+	// or resurrected event. Degraded mode delivers it without ordering.
+	syncStale
+	// syncBad: a corrupt, out-of-range counter id. Degraded mode
+	// delivers it unordered; strict mode fails.
+	syncBad
+	syncBlocked // waits on a later timestamp
+)
+
+func (m *Merger) classify(e *trace.Event) syncClass {
+	switch {
+	case int(e.Counter) >= trace.NumCounters:
+		return syncBad
+	case m.next[e.Counter] == e.TS:
+		return syncReady
+	case m.deg != nil && e.TS < m.next[e.Counter]:
+		return syncStale
+	}
+	return syncBlocked
+}
+
 // Pump delivers every event that is ready, in rounds over the threads in
 // ascending tid order, draining each greedily until it blocks on a
 // timestamp or runs out of buffered events. It returns when a full round
 // makes no progress (more input, a Finish, or nothing at all may be
 // needed) or when fn fails.
-func (m *Merger) Pump(fn func(trace.Event) error) error {
+//
+// fn receives the events as runs: a run is a slice of one thread's
+// head block holding a maximal stretch of ready events, of which at most
+// one is a sync event, and then only as the last element. The slice
+// belongs to the merger and is valid only during the call. fn returns
+// how many events it consumed: len(run) on success, or with an error the
+// number, from 0 to len(run), to count as delivered (the failing event
+// included, as a per-event consumer sees it). The merger commits exactly
+// that many, so Delivered, Backlog, Stalls and the degradation counters
+// describe the events handed over and no more. In degraded mode a run
+// never starts with a weakened ordering still to be announced: OnDegrade
+// fires between runs, just before the run whose first event is the
+// first weakened one.
+func (m *Merger) Pump(fn func(run []trace.Event) (int, error)) error {
 	if m.remaining == 0 {
 		return nil
 	}
@@ -243,51 +296,27 @@ func (m *Merger) Pump(fn func(trace.Event) error) error {
 		m.rounds.Inc()
 		for _, q := range m.queues {
 			// Drain this thread greedily until it blocks on a timestamp.
-		drain:
 			for q.n > 0 {
-				e := &q.head[q.pos]
-				if e.Kind.IsSync() {
-					switch {
-					case int(e.Counter) >= trace.NumCounters:
-						if m.deg == nil {
-							return fmt.Errorf("hb: thread %d event %d: bad counter %d",
-								q.tid, q.taken, e.Counter)
-						}
-						// Corrupt counter id: deliver unordered.
-						m.deg.BadCounters++
-						m.markDegraded()
-					case m.next[e.Counter] == e.TS:
-						m.next[e.Counter]++
-					case m.deg != nil && e.TS < m.next[e.Counter]:
-						// The slot already passed: a duplicated or
-						// resurrected event. Deliver it, but its ordering
-						// is meaningless.
-						m.deg.StaleEvents++
-						m.markDegraded()
-					default:
+				head := &q.head[q.pos]
+				cls := syncNone
+				if head.Kind.IsSync() {
+					if cls = m.classify(head); cls == syncBlocked {
 						m.nStalls++
 						m.stalls.Inc()
-						break drain
+						break
+					}
+					if cls == syncBad && m.deg == nil {
+						return fmt.Errorf("hb: thread %d event %d: bad counter %d",
+							q.tid, q.taken, head.Counter)
 					}
 				}
-				if m.deg != nil && q.hasSuspect && q.taken >= q.suspectFrom {
-					m.deg.SuspectEvents++
-					m.markDegraded()
-				}
-				ev := *e
-				q.taken++
-				q.n--
-				if q.pos++; q.pos == mergeBlockLen || q.n == 0 {
-					// The head block is spent (or the queue drained):
-					// recycle it so the next Add reuses it.
-					m.release(q)
-				}
-				m.remaining--
-				m.delivered++
-				progressed = true
-				if err := fn(ev); err != nil {
+				run, cls := m.nextRun(q, cls)
+				n, err := fn(run)
+				m.commit(q, run, n, cls)
+				if err != nil {
 					return err
 				}
+				progressed = true
 			}
 		}
 		if !progressed {
@@ -296,12 +325,85 @@ func (m *Merger) Pump(fn func(trace.Event) error) error {
 	}
 }
 
-// Finish drains everything left after the final Add. In strict mode a
-// remaining event means the log is corrupt or incomplete; in degraded
-// mode stuck timestamp counters are fast-forwarded over the missing
-// slots (smallest gap first) until the streams drain. A second Finish
-// returns ErrDoubleFinish.
-func (m *Merger) Finish(fn func(trace.Event) error) error {
+// nextRun returns the run at q's head, whose first event has class
+// cls and is deliverable, and the class of the run's last event
+// (syncNone when the run holds no sync event). It commits nothing but
+// the OnDegrade transition.
+func (m *Merger) nextRun(q *mergeQueue, cls syncClass) ([]trace.Event, syncClass) {
+	pend := q.head[q.pos:min(q.pos+q.n, mergeBlockLen)]
+	// suspect is the run index of the first event at or past a salvage
+	// loss (len(pend) for none).
+	suspect := len(pend)
+	if m.deg != nil && q.hasSuspect {
+		if q.suspectFrom <= q.taken {
+			suspect = 0
+		} else if d := q.suspectFrom - q.taken; d < uint64(len(pend)) {
+			suspect = int(d)
+		}
+	}
+	if cls == syncStale || cls == syncBad || suspect == 0 {
+		m.markDegraded()
+	}
+	if cls != syncNone {
+		return pend[:1], cls
+	}
+	// Before the merge degrades, a run stops short of the first weakened
+	// event so OnDegrade can fire between runs.
+	lim := len(pend)
+	if !m.degraded {
+		lim = suspect
+	}
+	for i := 1; i < lim; i++ {
+		e := &pend[i]
+		if !e.Kind.IsSync() {
+			continue
+		}
+		if cls := m.classify(e); cls == syncReady || m.degraded && (cls == syncStale || cls == syncBad) {
+			return pend[:i+1], cls
+		}
+		// Blocked, a strict error, or the first weakened ordering: the
+		// next run starts here.
+		return pend[:i], syncNone
+	}
+	return pend[:lim], syncNone
+}
+
+// commit accounts the first n events of run, q's head run, as
+// delivered. The run's closing sync event (class cls) takes effect only
+// when the consumer took the whole run.
+func (m *Merger) commit(q *mergeQueue, run []trace.Event, n int, cls syncClass) {
+	if n == len(run) {
+		switch cls {
+		case syncReady:
+			m.next[run[n-1].Counter]++
+		case syncStale:
+			m.deg.StaleEvents++
+		case syncBad:
+			m.deg.BadCounters++
+		}
+	}
+	if m.deg != nil && q.hasSuspect {
+		if from, end := max(q.taken, q.suspectFrom), q.taken+uint64(n); end > from {
+			m.deg.SuspectEvents += int(end - from)
+		}
+	}
+	q.taken += uint64(n)
+	q.n -= n
+	m.remaining -= n
+	m.delivered += uint64(n)
+	if q.pos += n; q.pos == mergeBlockLen || q.n == 0 {
+		// The head block is spent (or the queue drained): recycle it so
+		// the next Add reuses it.
+		m.release(q)
+	}
+}
+
+// Finish drains everything left after the final Add, delivering runs
+// to fn as Pump does. In strict mode a remaining event means the log is
+// corrupt or incomplete; in degraded mode stuck timestamp counters are
+// fast-forwarded over the missing slots (smallest gap first) until the
+// streams drain. A second Finish returns ErrDoubleFinish.
+func (m *Merger) Finish(fn func(run []trace.Event) (int, error)) error {
 	if m.finished {
 		return ErrDoubleFinish
 	}

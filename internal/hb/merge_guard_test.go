@@ -31,7 +31,7 @@ func TestMergerAddAfterFinishErrors(t *testing.T) {
 	}
 	var order []uint64
 	fn := func(e trace.Event) error { order = append(order, e.TS); return nil }
-	if err := m.Finish(fn); err != nil {
+	if err := m.Finish(eachEvent(fn)); err != nil {
 		t.Fatal(err)
 	}
 	delivered := m.Delivered()
@@ -47,7 +47,7 @@ func TestMergerAddAfterFinishErrors(t *testing.T) {
 	if m.Backlog() != 0 {
 		t.Fatalf("backlog after rejected Add = %d, want 0", m.Backlog())
 	}
-	if err := m.Pump(fn); err != nil {
+	if err := m.Pump(eachEvent(fn)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Delivered() != delivered {
@@ -70,10 +70,10 @@ func TestMergerDoubleFinishErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		fn := func(trace.Event) error { return nil }
-		if err := m.Finish(fn); err != nil {
+		if err := m.Finish(eachEvent(fn)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Finish(fn); !errors.Is(err, ErrDoubleFinish) {
+		if err := m.Finish(eachEvent(fn)); !errors.Is(err, ErrDoubleFinish) {
 			t.Fatalf("second Finish (degraded=%v) = %v, want ErrDoubleFinish", degraded, err)
 		}
 	}
@@ -89,13 +89,13 @@ func TestMergerFailedStrictFinishStaysFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn := func(trace.Event) error { return nil }
-	if err := m.Finish(fn); err == nil {
+	if err := m.Finish(eachEvent(fn)); err == nil {
 		t.Fatal("strict Finish on a stuck stream succeeded")
 	}
 	if err := m.Add(0, nil, 0); !errors.Is(err, ErrAddAfterFinish) {
 		t.Fatalf("Add after failed Finish = %v, want ErrAddAfterFinish", err)
 	}
-	if err := m.Finish(fn); !errors.Is(err, ErrDoubleFinish) {
+	if err := m.Finish(eachEvent(fn)); !errors.Is(err, ErrDoubleFinish) {
 		t.Fatalf("Finish after failed Finish = %v, want ErrDoubleFinish", err)
 	}
 }

@@ -18,7 +18,9 @@ import (
 // the oracle apart from its names): one growing []trace.Event per thread
 // with a read position, trimmed once fully delivered. Every parity test
 // elsewhere replays both sides through the same Merger, so only a
-// comparison against an independent copy can see an order change.
+// comparison against an independent copy can see an order change. The
+// oracle delivers one event per call and the Merger delivers runs; the
+// consumer flattens both, and runShapeErr checks every run.
 
 // flatMerger is the oracle: the merge engine as it was before the
 // Merger moved to recycled fixed-size blocks.
@@ -301,36 +303,102 @@ type mergeRun struct {
 	Deg       Degradation
 }
 
-// merger is the surface flatMerger and Merger share.
+// merger is the surface flatMerger (through flatRuns) and Merger share.
 type merger interface {
 	Add(tid int32, evs []trace.Event, suspectFrom int) error
-	Pump(fn func(trace.Event) error) error
-	Finish(fn func(trace.Event) error) error
+	Pump(fn func(run []trace.Event) (int, error)) error
+	Finish(fn func(run []trace.Event) (int, error)) error
 	Stalls() uint64
 	Delivered() uint64
 	Backlog() int
 	BacklogHighWater() int
 }
 
+// flatRuns hands the oracle's per-event deliveries to a run consumer
+// as runs of one event.
+type flatRuns struct{ *flatMerger }
+
+func (f flatRuns) Pump(fn func(run []trace.Event) (int, error)) error {
+	return f.flatMerger.Pump(func(e trace.Event) error {
+		_, err := fn([]trace.Event{e})
+		return err
+	})
+}
+
+func (f flatRuns) Finish(fn func(run []trace.Event) (int, error)) error {
+	return f.flatMerger.Finish(func(e trace.Event) error {
+		_, err := fn([]trace.Event{e})
+		return err
+	})
+}
+
 var errMergeFail = errors.New("consumer failed")
 
-func runMergeCase(c mergeCase, mk func(MergerOptions) merger) mergeRun {
+// runShapeErr checks one run the block Merger hands its consumer: a
+// slice of the head block of one thread's queue, starting at the
+// queue's read position, holding at most one sync event and that one
+// last, and maximal: a run that ends on a memory event short of the
+// block and the queue ends just before a sync event or the first event
+// past a salvage loss. It returns "" when the run is well formed.
+func runShapeErr(m *Merger, run []trace.Event) string {
+	if len(run) == 0 {
+		return "empty run"
+	}
+	tid := run[0].TID
+	q := m.byTID[tid]
+	if q == nil || q.head == nil {
+		return fmt.Sprintf("run of thread %d has no queue", tid)
+	}
+	if &run[0] != &q.head[q.pos] || q.pos+len(run) > mergeBlockLen || len(run) > q.n {
+		return fmt.Sprintf("thread %d run of %d events at block position %d is not a slice of the head block", tid, len(run), q.pos)
+	}
+	for i, e := range run {
+		if e.TID != tid {
+			return fmt.Sprintf("run mixes threads %d and %d", tid, e.TID)
+		}
+		if e.Kind.IsSync() && i != len(run)-1 {
+			return fmt.Sprintf("thread %d run of %d events has a sync event at %d", tid, len(run), i)
+		}
+	}
+	end := q.pos + len(run)
+	if !run[len(run)-1].Kind.IsSync() && end < mergeBlockLen && len(run) < q.n &&
+		!q.head[end].Kind.IsSync() && !(q.hasSuspect && q.taken+uint64(len(run)) == q.suspectFrom) {
+		return fmt.Sprintf("thread %d run of %d events stops before a ready memory event", tid, len(run))
+	}
+	return ""
+}
+
+func runMergeCase(c mergeCase, mk func(MergerOptions) merger) (mergeRun, []string) {
 	var run mergeRun
+	var shapeErrs []string
 	reg := obs.New()
 	var deg *Degradation
 	if c.degraded {
 		deg = &Degradation{}
 	}
 	var m merger
+	inRun := false
 	m = mk(MergerOptions{Obs: reg, Degraded: deg, OnDegrade: func() {
+		if inRun {
+			shapeErrs = append(shapeErrs, fmt.Sprintf("OnDegrade fired inside a run at event %d", len(run.Events)))
+		}
 		run.DegradeAt = append(run.DegradeAt, len(run.Events), int(m.Delivered()))
 	}})
-	fn := func(e trace.Event) error {
-		run.Events = append(run.Events, e)
-		if len(run.Events) == c.failAt {
-			return errMergeFail
+	fn := func(evs []trace.Event) (int, error) {
+		if bm, ok := m.(*Merger); ok {
+			if e := runShapeErr(bm, evs); e != "" {
+				shapeErrs = append(shapeErrs, e)
+			}
 		}
-		return nil
+		inRun = true
+		defer func() { inRun = false }()
+		for i, e := range evs {
+			run.Events = append(run.Events, e)
+			if len(run.Events) == c.failAt {
+				return i + 1, errMergeFail
+			}
+		}
+		return len(evs), nil
 	}
 	step := func(err error) {
 		s := mergeStats{
@@ -361,18 +429,21 @@ func runMergeCase(c mergeCase, mk func(MergerOptions) merger) mergeRun {
 	if deg != nil {
 		run.Deg = *deg
 	}
-	return run
+	return run, shapeErrs
 }
 
 func newBlockMerger(o MergerOptions) merger { return NewMerger(o) }
-func newFlatOracle(o MergerOptions) merger  { return newFlatMerger(o) }
+func newFlatOracle(o MergerOptions) merger  { return flatRuns{newFlatMerger(o)} }
 
 // checkMergeOrder runs c through both mergers and requires identical
 // observations.
 func checkMergeOrder(t *testing.T, name string, c mergeCase) mergeRun {
 	t.Helper()
-	want := runMergeCase(c, newFlatOracle)
-	got := runMergeCase(c, newBlockMerger)
+	want, _ := runMergeCase(c, newFlatOracle)
+	got, shapeErrs := runMergeCase(c, newBlockMerger)
+	if len(shapeErrs) > 0 {
+		t.Fatalf("%s: %d malformed runs, first: %s", name, len(shapeErrs), shapeErrs[0])
+	}
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		n := min(len(got.Events), len(want.Events))
 		i := 0

@@ -28,8 +28,20 @@ func Replay(log *trace.Log, fn func(trace.Event) error) error {
 // (hb.replay_stalls — times a thread's stream blocked on a timestamp that
 // was not yet the next expected value for its counter).
 func ReplayObs(log *trace.Log, reg *obs.Registry, fn func(trace.Event) error) error {
-	_, err := replay(log, reg, nil, nil, fn)
+	_, err := replay(log, reg, nil, nil, eachEvent(fn))
 	return err
+}
+
+// eachEvent adapts a per-event consumer to the Merger's runs.
+func eachEvent(fn func(trace.Event) error) func([]trace.Event) (int, error) {
+	return func(run []trace.Event) (int, error) {
+		for i := range run {
+			if err := fn(run[i]); err != nil {
+				return i + 1, err
+			}
+		}
+		return len(run), nil
+	}
 }
 
 // Degradation describes the orderings a degraded replay weakened to get
@@ -81,16 +93,16 @@ func (g *Degradation) String() string {
 // only come from fn.
 func ReplayDegraded(log *trace.Log, reg *obs.Registry, onDegrade func(), fn func(trace.Event) error) (*Degradation, error) {
 	deg := &Degradation{}
-	return replay(log, reg, deg, onDegrade, fn)
+	return replay(log, reg, deg, onDegrade, eachEvent(fn))
 }
 
-// replay drives the shared Merger. When the log carries its chunk order
-// (decoded logs do), chunks are added in byte order with a pump after
-// each — the canonical arrival order, identical to what the online
-// pipeline sees while the log is still being written. Hand-built logs
-// (nil ChunkOrder) add each thread's stream as one batch, which
-// reproduces the classic whole-log round-robin merge.
-func replay(log *trace.Log, reg *obs.Registry, deg *Degradation, onDegrade func(), fn func(trace.Event) error) (*Degradation, error) {
+// replay drives the shared Merger, handing fn its runs. When the log
+// carries its chunk order (decoded logs do), chunks are added in byte
+// order with a pump after each — the canonical arrival order, identical
+// to what the online pipeline sees while the log is still being
+// written. Hand-built logs (nil ChunkOrder) add each thread's stream as
+// one batch, which reproduces the classic whole-log round-robin merge.
+func replay(log *trace.Log, reg *obs.Registry, deg *Degradation, onDegrade func(), fn func([]trace.Event) (int, error)) (*Degradation, error) {
 	m := NewMerger(MergerOptions{Obs: reg, Degraded: deg, OnDegrade: onDegrade})
 	if len(log.ChunkOrder) > 0 {
 		offs := make(map[int32]int, len(log.Threads))

@@ -1,9 +1,11 @@
 package stream_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"literace/internal/hb"
 	"literace/internal/obs"
 	"literace/internal/obs/diag"
 	"literace/internal/stream"
@@ -146,5 +148,44 @@ func TestPipelineProbeAndHighWater(t *testing.T) {
 	}
 	if pr.BacklogHighWater < pr.Backlog || p.BacklogHighWater() != pr.BacklogHighWater {
 		t.Fatalf("high watermark inconsistent: %+v vs %d", pr, p.BacklogHighWater())
+	}
+}
+
+// TestFlightRecorderKeepsResult checks that attaching a recorder, which
+// sends every merge run through the branch that times its sync event,
+// changes nothing a caller sees: the same Result and the same OnRace
+// calls, on a clean full log and on a damaged copy that degrades.
+func TestFlightRecorderKeepsResult(t *testing.T) {
+	data := genLog(t, mustBench(t, "apache-1"), 3, 1)
+	damaged := append([]byte(nil), data...)
+	damaged[len(damaged)/3] ^= 0x40
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"clean", data}, {"damaged", damaged}} {
+		run := func(rec *diag.Recorder) (*stream.Result, []hb.DynamicRace) {
+			var races []hb.DynamicRace
+			res := runPipelineOpts(t, tc.data, stream.Options{
+				Diag: rec, Evidence: true, NearMissMargin: hb.DefaultNearMissMargin,
+				OnRace: func(r hb.DynamicRace) { races = append(races, r) },
+			}, []int{777, 64 << 10})
+			res.Elapsed, res.EventsPerSec = 0, 0
+			return res, races
+		}
+		plain, plainRaces := run(nil)
+		rec := diag.NewRecorder(1 << 12)
+		recorded, recordedRaces := run(rec)
+		if c, _, _ := rec.StageStats(diag.StageClockEngine); c == 0 {
+			t.Fatalf("%s: no clock-engine spans recorded", tc.name)
+		}
+		if plain.NumRaces == 0 || plain.Degraded != (tc.name == "damaged") {
+			t.Fatalf("%s: %d races, degraded %v", tc.name, plain.NumRaces, plain.Degraded)
+		}
+		if !reflect.DeepEqual(recorded, plain) {
+			t.Fatalf("%s: recording changed the result:\n got: %+v\nwant: %+v", tc.name, recorded, plain)
+		}
+		if !reflect.DeepEqual(recordedRaces, plainRaces) {
+			t.Fatalf("%s: recording changed the OnRace sequence (%d vs %d calls)", tc.name, len(recordedRaces), len(plainRaces))
+		}
 	}
 }

@@ -247,20 +247,24 @@ func (p *Pipeline) onChunk(tid int32, evs []trace.Event, suspect bool) {
 // growth is considered routine and not worth an anomaly record.
 const backlogHWMFloor = 1024
 
-// handle hands one event, in merge order, to the detector.
-func (p *Pipeline) handle(e trace.Event) error {
-	p.obsEvents.Inc()
-	if p.rec == nil || !e.Kind.IsSync() {
-		p.det.Process(e)
-		return nil
+// handle hands one merge run to the detector. With a flight recorder
+// attached it also times the run's sync event, which the merger always
+// puts last.
+func (p *Pipeline) handle(run []trace.Event) (int, error) {
+	p.obsEvents.Add(uint64(len(run)))
+	last := len(run) - 1
+	if p.rec == nil || !run[last].Kind.IsSync() {
+		p.det.ProcessBatch(run)
+		return len(run), nil
 	}
 	// Accumulate clock-engine wall time per chunk for the flight
 	// recorder (one span per chunk, flushed by onChunk).
+	p.det.ProcessBatch(run[:last])
 	t0 := time.Now()
-	p.det.Process(e)
+	p.det.ProcessBatch(run[last:])
 	p.clkNs += time.Since(t0).Nanoseconds()
 	p.clkOps++
-	return nil
+	return len(run), nil
 }
 
 // Feed appends encoded log bytes. Chunks completed by this piece are

@@ -40,7 +40,9 @@ import (
 //
 // Chunks from the same thread appear in program order; chunks from
 // different threads interleave arbitrarily (each thread flushes its own
-// buffer, mirroring the paper's per-thread log buffers).
+// buffer, mirroring the paper's per-thread log buffers). A thread's
+// buffer flushes when it fills and right after each fork event, so a
+// fork's chunk precedes every chunk of the thread it starts.
 //
 // ReadAll also accepts the legacy LTRC1 format (no markers, CRCs,
 // sequence numbers, or checkpoints; thread chunks use tag tid+1).
@@ -129,6 +131,12 @@ type Writer struct {
 	lastCkpt   uint64      // written watermark of the last checkpoint
 	metaSource func() Meta // optional snapshot provider for checkpoints
 
+	// Chunk framing scratch, reused under mu so a flush allocates
+	// nothing: the marker, tag, length and (thread chunks) sequence
+	// varints, and the CRC trailer.
+	hdr  [4 + 3*binary.MaxVarintLen64]byte
+	crcb [4]byte
+
 	// Telemetry instruments; all nil when observability is disabled.
 	obsReg    *obs.Registry
 	obsBytes  *obs.Counter // trace.bytes_written
@@ -195,10 +203,10 @@ func (w *Writer) Thread(tid int32) *ThreadWriter {
 
 // flushChunk writes one chunk and, after thread chunks, a metadata
 // checkpoint when enough bytes have elapsed; callers hold no locks.
-func (w *Writer) flushChunk(tag uint64, payload []byte) error {
+func (w *Writer) flushChunk(tag, seq uint64, body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.flushChunkLocked(tag, payload); err != nil {
+	if err := w.flushChunkLocked(tag, seq, body); err != nil {
 		return err
 	}
 	if tag >= tagThreadBase && w.written-w.lastCkpt >= checkpointInterval {
@@ -207,32 +215,43 @@ func (w *Writer) flushChunk(tag uint64, payload []byte) error {
 	return nil
 }
 
-func (w *Writer) flushChunkLocked(tag uint64, payload []byte) error {
+// flushChunkLocked writes one chunk whose payload is body, prefixed by
+// uvarint(seq) when seq is non-zero (thread chunks number from 1;
+// metadata chunks carry no sequence number).
+func (w *Writer) flushChunkLocked(tag, seq uint64, body []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	var hdr [4 + 2*binary.MaxVarintLen64]byte
+	hdr := w.hdr[:]
 	copy(hdr[:4], chunkMarker[:])
 	n := 4 + binary.PutUvarint(hdr[4:], tag)
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+	plen := len(body)
+	var seqb [binary.MaxVarintLen64]byte
+	ns := 0
+	if seq > 0 {
+		ns = binary.PutUvarint(seqb[:], seq)
+		plen += ns
+	}
+	n += binary.PutUvarint(hdr[n:], uint64(plen))
+	n += copy(hdr[n:], seqb[:ns])
 	crc := crc32.ChecksumIEEE(hdr[4:n])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc)
+	crc = crc32.Update(crc, crc32.IEEETable, body)
+	binary.LittleEndian.PutUint32(w.crcb[:], crc)
 	if _, err := w.w.Write(hdr[:n]); err != nil {
 		w.err = fmt.Errorf("trace: %w", err)
 		return w.err
 	}
-	if _, err := w.w.Write(payload); err != nil {
+	if _, err := w.w.Write(body); err != nil {
 		w.err = fmt.Errorf("trace: %w", err)
 		return w.err
 	}
-	if _, err := w.w.Write(crcb[:]); err != nil {
+	if _, err := w.w.Write(w.crcb[:]); err != nil {
 		w.err = fmt.Errorf("trace: %w", err)
 		return w.err
 	}
-	w.written += uint64(n + len(payload) + 4)
-	w.obsBytes.Add(uint64(n + len(payload) + 4))
+	size := uint64(n + len(body) + 4)
+	w.written += size
+	w.obsBytes.Add(size)
 	w.obsChunks.Inc()
 	return nil
 }
@@ -249,7 +268,7 @@ func (w *Writer) writeCheckpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding checkpoint: %w", err)
 	}
-	if err := w.flushChunkLocked(tagCheckpoint, payload); err != nil {
+	if err := w.flushChunkLocked(tagCheckpoint, 0, payload); err != nil {
 		return err
 	}
 	w.lastCkpt = w.written
@@ -289,7 +308,7 @@ func (w *Writer) Close(meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding meta: %w", err)
 	}
-	if err := w.flushChunkLocked(tagMeta, payload); err != nil {
+	if err := w.flushChunkLocked(tagMeta, 0, payload); err != nil {
 		return err
 	}
 	if w.err == nil {
@@ -317,12 +336,16 @@ type ThreadWriter struct {
 	obsFlushes *obs.Counter // trace.thread_flushes.t<tid>
 }
 
-// Append encodes one event into the thread buffer.
+// Append encodes one event into the thread buffer. The buffer flushes
+// when it reaches flushThreshold, and right after a fork event: the
+// forked thread's first event waits on the fork's timestamp, so a fork
+// held back in its thread's buffer would make a replay buffer the
+// child's whole stream until the parent's next flush.
 func (tw *ThreadWriter) Append(e Event) error {
 	tw.buf = appendEvent(tw.buf, e)
 	tw.count++
 	tw.obsEvents.Inc()
-	if len(tw.buf) >= flushThreshold {
+	if len(tw.buf) >= flushThreshold || e.Op == OpFork {
 		return tw.Flush()
 	}
 	return nil
@@ -338,10 +361,7 @@ func (tw *ThreadWriter) Flush() error {
 		return nil
 	}
 	tw.seq++
-	payload := make([]byte, 0, binary.MaxVarintLen64+len(tw.buf))
-	payload = binary.AppendUvarint(payload, tw.seq)
-	payload = append(payload, tw.buf...)
-	err := tw.parent.flushChunk(uint64(uint32(tw.tid))+tagThreadBase, payload)
+	err := tw.parent.flushChunk(uint64(uint32(tw.tid))+tagThreadBase, tw.seq, tw.buf)
 	tw.buf = tw.buf[:0]
 	tw.obsFlushes.Inc()
 	return err
@@ -458,61 +478,86 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 // appending them to dst, and returns the extended slice alongside the
 // number of bytes consumed. A decode failure returns the events decoded
 // so far, the offset of the bad event, and the error; the decoders keep
-// the prefix.
+// the prefix. Most varints in a log are one byte (small PCs, masks and
+// counters), so the loop reads those inline and calls binary.Uvarint
+// only for longer ones.
 func decodeEventsPrefix(dst []Event, tid int32, payload []byte) ([]Event, int, error) {
 	evs := dst
-	total := len(payload)
-	for len(payload) > 0 {
-		consumed := total - len(payload)
-		if len(payload) < 2 {
-			return evs, consumed, errors.New("trace: truncated event header")
+	i := 0
+	for i < len(payload) {
+		at := i
+		if len(payload)-i < 2 {
+			return evs, at, errors.New("trace: truncated event header")
 		}
-		e := Event{Kind: Kind(payload[0]), Op: SyncOp(payload[1]), TID: tid}
+		e := Event{Kind: Kind(payload[i]), Op: SyncOp(payload[i+1]), TID: tid}
 		if e.Kind >= numKinds {
-			return evs, consumed, fmt.Errorf("trace: bad event kind %d", e.Kind)
+			return evs, at, fmt.Errorf("trace: bad event kind %d", e.Kind)
 		}
 		if e.Op >= numSyncOps {
-			return evs, consumed, fmt.Errorf("trace: bad sync op %d", e.Op)
+			return evs, at, fmt.Errorf("trace: bad sync op %d", e.Op)
 		}
-		rest := payload[2:]
-		var err error
+		i += 2
+		// Each varint: one byte inline, else uvarintAt (i < 0 on error).
 		var v uint64
-		if v, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+		if i < len(payload) && payload[i] < 0x80 {
+			v, i = uint64(payload[i]), i+1
+		} else if v, i = uvarintAt(payload, i); i < 0 {
+			return evs, at, errTruncatedVarint
 		}
 		e.PC.Func = int32(uint32(v))
-		if v, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+		if i < len(payload) && payload[i] < 0x80 {
+			v, i = uint64(payload[i]), i+1
+		} else if v, i = uvarintAt(payload, i); i < 0 {
+			return evs, at, errTruncatedVarint
 		}
 		e.PC.Index = int32(uint32(v))
-		if e.Addr, rest, err = takeUvarint(rest); err != nil {
-			return evs, consumed, err
+		if i < len(payload) && payload[i] < 0x80 {
+			e.Addr, i = uint64(payload[i]), i+1
+		} else if e.Addr, i = uvarintAt(payload, i); i < 0 {
+			return evs, at, errTruncatedVarint
 		}
 		if e.Kind.IsMem() {
-			if v, rest, err = takeUvarint(rest); err != nil {
-				return evs, consumed, err
+			if i < len(payload) && payload[i] < 0x80 {
+				v, i = uint64(payload[i]), i+1
+			} else if v, i = uvarintAt(payload, i); i < 0 {
+				return evs, at, errTruncatedVarint
 			}
 			e.Mask = uint32(v)
 		} else {
-			if len(rest) < 1 {
-				return evs, consumed, errors.New("trace: truncated sync event")
+			if i >= len(payload) {
+				return evs, at, errors.New("trace: truncated sync event")
 			}
-			e.Counter = rest[0]
-			rest = rest[1:]
-			if e.TS, rest, err = takeUvarint(rest); err != nil {
-				return evs, consumed, err
+			e.Counter = payload[i]
+			i++
+			if i < len(payload) && payload[i] < 0x80 {
+				e.TS, i = uint64(payload[i]), i+1
+			} else if e.TS, i = uvarintAt(payload, i); i < 0 {
+				return evs, at, errTruncatedVarint
 			}
 		}
-		payload = rest
 		evs = append(evs, e)
 	}
-	return evs, total, nil
+	return evs, len(payload), nil
+}
+
+var errTruncatedVarint = errors.New("trace: truncated varint")
+
+// uvarintAt decodes the uvarint at b[i:] and returns it with the index
+// just past it, or i = -1 when b[i:] holds no valid uvarint. Even a
+// two-line one-byte fast path here would not fit the inliner's budget,
+// so decodeEventsPrefix tests for one-byte values itself.
+func uvarintAt(b []byte, i int) (uint64, int) {
+	v, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, i + n
 }
 
 func takeUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
-		return 0, nil, errors.New("trace: truncated varint")
+		return 0, nil, errTruncatedVarint
 	}
 	return v, b[n:], nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -450,5 +451,88 @@ func TestBytesWrittenGrows(t *testing.T) {
 	}
 	if int(w.BytesWritten()) != buf.Len() {
 		t.Errorf("BytesWritten = %d, buffer has %d", w.BytesWritten(), buf.Len())
+	}
+}
+
+// TestForkFlushesThread checks the flush-after-fork rule: appending a
+// fork event leaves the thread's buffer empty, so the fork's chunk
+// precedes every chunk of the forked thread in the log's chunk order,
+// even when the parent logs on and flushes only at Close.
+func TestForkFlushesThread(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := w.Thread(0)
+	for i := 0; i < 5; i++ {
+		if err := parent.Append(Event{Kind: KindWrite, TID: 0, Addr: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tv := ThreadVar(1)
+	fork := Event{Kind: KindRelease, Op: OpFork, TID: 0, Addr: tv, Counter: CounterOf(tv), TS: 1}
+	if err := parent.Append(fork); err != nil {
+		t.Fatal(err)
+	}
+	if len(parent.buf) != 0 {
+		t.Fatalf("fork left %d bytes in the parent's buffer", len(parent.buf))
+	}
+	child := w.Thread(1)
+	start := Event{Kind: KindAcquire, Op: OpForkChild, TID: 1, Addr: tv, Counter: CounterOf(tv), TS: 2}
+	if err := child.Append(start); err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The parent's later events stay buffered until Close.
+	if err := parent.Append(Event{Kind: KindRead, TID: 0, Addr: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if len(parent.buf) == 0 {
+		t.Fatal("a read flushed the parent's buffer")
+	}
+	if err := w.Close(Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ChunkRef{{TID: 0, N: 6}, {TID: 1, N: 1}, {TID: 0, N: 1}}
+	if !reflect.DeepEqual(log.ChunkOrder, want) {
+		t.Fatalf("chunk order %+v, want %+v", log.ChunkOrder, want)
+	}
+}
+
+// TestFlushAllocatesNothing checks a steady-state thread flush (the
+// logging hot path) allocates nothing: the writer frames each chunk in
+// buffers it owns.
+func TestFlushAllocatesNothing(t *testing.T) {
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := w.Thread(3)
+	e := Event{Kind: KindWrite, TID: 3, PC: lir.PC{Func: 2, Index: 300}, Addr: 1 << 20, Mask: 1}
+	flush := func() {
+		for i := 0; i < 4; i++ {
+			if err := tw.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush() // warm the thread buffer
+	// 100 chunks of ~50 bytes stay under checkpointInterval, so no
+	// checkpoint (JSON, which allocates) is written in between.
+	if n := testing.AllocsPerRun(100, flush); n != 0 {
+		t.Fatalf("a flush allocated %v times", n)
+	}
+	if w.BytesWritten()-uint64(len(magic)) >= checkpointInterval {
+		t.Fatalf("the runs wrote %d bytes: a checkpoint fell inside them", w.BytesWritten())
 	}
 }
