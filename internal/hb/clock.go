@@ -12,8 +12,8 @@ import (
 // evidence state. It also applies the SamplerBit filter and counts the
 // events it sees. The memory-access half is shadow.Engine.
 type clockEngine struct {
-	threads  []*threadClock // indexed by tid
-	vars     map[uint64]VC  // sync var -> clock published by its releases
+	threads  []*threadClock          // indexed by tid
+	vars     map[uint64]*sparseClock // sync var -> clock published by its releases
 	lastRel  map[uint64]relInfo
 	onEdge   func(Edge)
 	evidence bool
@@ -29,11 +29,37 @@ type clockEngine struct {
 	obsSync  *obs.Counter // hb.sync_events
 }
 
+// sparseClock is a vector clock kept twice: dense in VC, which readers
+// index in O(1), and as nz, the indices of its nonzero entries. A join
+// walks only the source's nz, so with hundreds of threads that each
+// hear from a few others it costs what the source knows, not the
+// thread count.
+type sparseClock struct {
+	VC VC
+	nz []int32
+}
+
+// join sets v to v ⊔ u.
+func (v *sparseClock) join(u *sparseClock) {
+	if len(u.VC) > len(v.VC) {
+		v.VC = v.VC.ensure(int32(len(u.VC) - 1))
+	}
+	for _, i := range u.nz {
+		if c := u.VC[i]; c > v.VC[i] {
+			if v.VC[i] == 0 {
+				v.nz = append(v.nz, i)
+			}
+			v.VC[i] = c
+		}
+	}
+}
+
 // threadClock is one thread's view in the clock engine.
 type threadClock struct {
-	// VC is the live clock. Sync events mutate it in place, so a caller
-	// that keeps a clock past the next sync event takes Snapshot instead.
-	VC VC
+	// sparseClock holds the live clock, VC. Sync events mutate it in
+	// place, so a caller that keeps a clock past the next sync event
+	// takes Snapshot instead.
+	sparseClock
 	// MemSeq counts this thread's analyzed memory events (1-based after
 	// the first access); see DynamicRace.PrevSeq.
 	MemSeq uint64
@@ -58,7 +84,7 @@ type relInfo struct {
 // opts.OnEdge, opts.Evidence and opts.Obs.
 func newClockEngine(opts Options) *clockEngine {
 	c := &clockEngine{
-		vars:     make(map[uint64]VC),
+		vars:     make(map[uint64]*sparseClock),
 		onEdge:   opts.OnEdge,
 		evidence: opts.Evidence,
 		bit:      opts.SamplerBit,
@@ -91,7 +117,7 @@ func (c *clockEngine) newThread(tid int32) *threadClock {
 	}
 	// A fresh thread starts at clock 1 so its epoch (tid, 1) is not
 	// vacuously happens-before everything.
-	t := &threadClock{VC: VC{}.Set(tid, 1)}
+	t := &threadClock{sparseClock: sparseClock{VC: VC{}.Set(tid, 1), nz: []int32{tid}}}
 	c.threads[tid] = t
 	return t
 }
@@ -105,15 +131,20 @@ func (c *clockEngine) Sync(e *trace.Event) {
 	c.obsSync.Inc()
 	t := c.Thread(e.TID)
 	if e.Kind != trace.KindRelease {
-		if lv, ok := c.vars[e.Addr]; ok {
-			t.VC = t.VC.Join(lv)
+		if lv := c.vars[e.Addr]; lv != nil {
+			t.join(lv)
 			t.dirty = true
 			c.obsJoins.Inc()
 			c.emitEdge(e)
 		}
 	}
 	if e.Kind != trace.KindAcquire {
-		c.vars[e.Addr] = c.vars[e.Addr].Join(t.VC)
+		lv := c.vars[e.Addr]
+		if lv == nil {
+			lv = &sparseClock{}
+			c.vars[e.Addr] = lv
+		}
+		lv.join(&t.sparseClock)
 		c.obsJoins.Inc()
 		t.VC = t.VC.Tick(e.TID)
 		t.dirty = true

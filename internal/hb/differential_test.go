@@ -78,6 +78,65 @@ func randomLog(seed int64) *trace.Log {
 	return b.log()
 }
 
+// wideRandomLog builds a well-formed log over 65 to 300 threads: fork
+// edges from thread 1 to every other thread, one lock per group of
+// threads guarding its group's word, two CAS vars any thread may hit,
+// unguarded accesses over a small pool, and the last few threads joined
+// back into thread 1. The groups and the CAS vars spread what threads
+// know, so clocks carry long lists of nonzero entries, which randomLog's
+// five threads never do.
+func wideRandomLog(seed int64) *trace.Log {
+	r := rand.New(rand.NewSource(seed))
+	b := newLogBuilder()
+	nthreads := int32(65 + r.Intn(236))
+	groups := int32(2 + r.Intn(15))
+	cas := []uint64{0x3000, 0x3010}
+	addrs := []uint64{0x200, 0x201, 0x202, 0x203}
+	held := make(map[int32]uint64) // thread -> currently held lock (0 = none)
+
+	for tid := int32(2); tid <= nthreads; tid++ {
+		tv := trace.ThreadVar(tid)
+		b.sync(1, trace.KindRelease, trace.OpFork, tv)
+		b.sync(tid, trace.KindAcquire, trace.OpForkChild, tv)
+	}
+	n := 1500 + r.Intn(1500)
+	for i := 0; i < n; i++ {
+		tid := 1 + r.Int31n(nthreads)
+		g := uint64(tid % groups)
+		switch r.Intn(16) {
+		case 0, 1:
+			if held[tid] == 0 {
+				held[tid] = 0x1000 + 0x10*g
+				b.sync(tid, trace.KindAcquire, trace.OpLock, held[tid])
+			}
+		case 2, 3:
+			if lk := held[tid]; lk != 0 {
+				held[tid] = 0
+				b.sync(tid, trace.KindRelease, trace.OpUnlock, lk)
+			}
+		case 4:
+			b.sync(tid, trace.KindAcqRel, trace.OpCas, cas[r.Intn(len(cas))])
+		case 5, 6, 7, 8:
+			// The group's word, guarded by its lock when held.
+			kind := trace.KindRead
+			if r.Intn(2) == 0 {
+				kind = trace.KindWrite
+			}
+			b.mem(tid, kind, 0x400+g, 0xFFFF)
+		case 9:
+			b.mem(tid, trace.KindWrite, addrs[r.Intn(len(addrs))], 0xFFFF)
+		default:
+			b.mem(tid, trace.KindRead, addrs[r.Intn(len(addrs))], 0xFFFF)
+		}
+	}
+	for tid := nthreads; tid > nthreads-4; tid-- {
+		tv := trace.ThreadVar(tid)
+		b.sync(tid, trace.KindRelease, trace.OpThreadEnd, tv)
+		b.sync(1, trace.KindAcquire, trace.OpJoin, tv)
+	}
+	return b.log()
+}
+
 // detectBoth runs log through the production detector and the
 // reference detector under identical options.
 func detectBoth(t testing.TB, log *trace.Log, opts Options) (got, want *Result) {
@@ -125,6 +184,10 @@ func TestDifferentialDetectors(t *testing.T) {
 		got, want := detectBoth(t, randomLog(seed), Options{SamplerBit: AllEvents})
 		assertSameResult(t, fmt.Sprintf("seed %d", seed), got, want)
 	}
+	for seed := int64(0); seed < 12; seed++ {
+		got, want := detectBoth(t, wideRandomLog(seed), Options{SamplerBit: AllEvents})
+		assertSameResult(t, fmt.Sprintf("wide seed %d", seed), got, want)
+	}
 }
 
 // TestEpochMatchesVCRandom holds the epoch core, selected through the
@@ -171,19 +234,26 @@ func TestDifferentialWithMaskFiltering(t *testing.T) {
 // the full-vector-clock reference with evidence capture and near-miss
 // analytics on.
 func TestEpochMatchesVCWithEvidenceAndNearMisses(t *testing.T) {
-	var sawEvidence, sawNearMiss bool
-	for seed := int64(0); seed < 60; seed++ {
-		got, want := detectBoth(t, randomLog(seed), Options{
-			SamplerBit:     AllEvents,
-			Evidence:       true,
-			NearMissMargin: DefaultNearMissMargin,
-		})
-		assertSameResult(t, fmt.Sprintf("seed %d", seed), got, want)
-		sawEvidence = sawEvidence || len(got.Races) > 0 && got.Races[0].PrevEvidence != nil
-		sawNearMiss = sawNearMiss || len(got.NearMisses) > 0
+	opts := Options{
+		SamplerBit:     AllEvents,
+		Evidence:       true,
+		NearMissMargin: DefaultNearMissMargin,
 	}
-	if !sawEvidence || !sawNearMiss {
-		t.Fatalf("vacuous: evidence seen %v, near misses seen %v", sawEvidence, sawNearMiss)
+	for _, set := range []struct {
+		name  string
+		seeds int64
+		log   func(int64) *trace.Log
+	}{{"seed", 60, randomLog}, {"wide seed", 8, wideRandomLog}} {
+		var sawEvidence, sawNearMiss bool
+		for seed := int64(0); seed < set.seeds; seed++ {
+			got, want := detectBoth(t, set.log(seed), opts)
+			assertSameResult(t, fmt.Sprintf("%s %d", set.name, seed), got, want)
+			sawEvidence = sawEvidence || len(got.Races) > 0 && got.Races[0].PrevEvidence != nil
+			sawNearMiss = sawNearMiss || len(got.NearMisses) > 0
+		}
+		if !sawEvidence || !sawNearMiss {
+			t.Fatalf("vacuous over the %ss: evidence seen %v, near misses seen %v", set.name, sawEvidence, sawNearMiss)
+		}
 	}
 }
 
@@ -266,17 +336,23 @@ func TestEpochBoundedTableNeverInventsRaces(t *testing.T) {
 	}
 }
 
-// FuzzDetectorParity replays random seeded traces through the
-// production detector and the reference and asserts identical Results,
-// with and without evidence capture, plus the no-false-positive
-// containment property for bounded shadow tables.
+// FuzzDetectorParity replays random seeded traces (wide ones over 65 to
+// 300 threads when wide is set) through the production detector and the
+// reference and asserts identical Results, with and without evidence
+// capture, plus the no-false-positive containment property for bounded
+// shadow tables.
 func FuzzDetectorParity(f *testing.F) {
-	f.Add(int64(1), uint16(0), false)
-	f.Add(int64(42), uint16(0), true)
-	f.Add(int64(7), uint16(3), true)
-	f.Add(int64(1234567), uint16(16), false)
-	f.Fuzz(func(t *testing.T, seed int64, maxCells uint16, evidence bool) {
+	f.Add(int64(1), uint16(0), false, false)
+	f.Add(int64(42), uint16(0), true, false)
+	f.Add(int64(7), uint16(3), true, false)
+	f.Add(int64(1234567), uint16(16), false, false)
+	f.Add(int64(3), uint16(0), true, true)
+	f.Add(int64(11), uint16(8), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, maxCells uint16, evidence, wide bool) {
 		log := randomLog(seed)
+		if wide {
+			log = wideRandomLog(seed)
+		}
 		opts := Options{SamplerBit: AllEvents, Evidence: evidence, NearMissMargin: DefaultNearMissMargin}
 		got, want := detectBoth(t, log, opts)
 		name := fmt.Sprintf("seed %d", seed)

@@ -3,6 +3,8 @@ package hb
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"literace/internal/obs"
 	"literace/internal/trace"
@@ -38,6 +40,15 @@ var (
 // handed to the consumer without a copy (see Pump). Cutting the order
 // into runs does not change it; a run saves the per-event call and copy.
 //
+// The merge is defined in rounds over the threads in ascending tid
+// order, but a round touches only the queues that can deliver. A queue
+// whose head sync event waits on (counter c, timestamp T) parks on c's
+// wait list; the delivery that moves c's next timestamp to T wakes it
+// into a ready set over the queue positions, and so does an Add to an
+// empty queue. A delivered sync event then costs at most a heap
+// operation and a round a pass over the bitset's words, not a scan of
+// every thread.
+//
 // The Merger owns its event storage: Add copies each chunk into the
 // thread's queue of fixed-size blocks, and a block whose events have all
 // been delivered goes onto a free list that any thread's next Add
@@ -56,6 +67,14 @@ type Merger struct {
 	byTID  map[int32]*mergeQueue
 	next   [trace.NumCounters]uint64
 	free   []*mergeBlock // delivered blocks, ready for reuse; at most mergeFreeMax
+
+	// ready is a bitset over queue positions: the queues Pump visits.
+	// Every other non-empty queue is parked in waits (a min-heap by
+	// timestamp per counter) or, in strict mode, waits on a slot that
+	// already passed and can never deliver.
+	ready    []uint64
+	waits    [trace.NumCounters][]waiter
+	nonEmpty int // queues holding events
 
 	remaining  int
 	backlogHWM int
@@ -88,6 +107,7 @@ type mergeBlock [mergeBlockLen]trace.Event
 // [end-1]; n counts them.
 type mergeQueue struct {
 	tid         int32
+	idx         int // position in Merger.queues
 	head        *mergeBlock
 	blocks      []*mergeBlock
 	h           int
@@ -139,13 +159,25 @@ func (m *Merger) queue(tid int32) *mergeQueue {
 	q = &mergeQueue{tid: tid}
 	m.byTID[tid] = q
 	// Keep queues sorted by tid: the merge visits threads in ascending
-	// tid order each round, matching the original batch replay.
+	// tid order each round, matching the original batch replay. The
+	// ready bits of the queues after the new one shift up with them.
 	i := len(m.queues)
-	m.queues = append(m.queues, q)
 	for i > 0 && m.queues[i-1].tid > tid {
-		m.queues[i], m.queues[i-1] = m.queues[i-1], m.queues[i]
 		i--
 	}
+	m.queues = slices.Insert(m.queues, i, q)
+	for j := i; j < len(m.queues); j++ {
+		m.queues[j].idx = j
+	}
+	if len(m.queues) > 64*len(m.ready) {
+		m.ready = append(m.ready, 0)
+	}
+	w := i >> 6
+	for j := len(m.ready) - 1; j > w; j-- {
+		m.ready[j] = m.ready[j]<<1 | m.ready[j-1]>>63
+	}
+	low := uint64(1)<<(i&63) - 1
+	m.ready[w] = m.ready[w]&low | (m.ready[w]&^low)<<1
 	return q
 }
 
@@ -165,6 +197,11 @@ func (m *Merger) Add(tid int32, evs []trace.Event, suspectFrom int) error {
 			suspectFrom = 0
 		}
 		q.suspectFrom = q.taken + uint64(q.n) + uint64(suspectFrom)
+	}
+	if q.n == 0 && len(evs) > 0 {
+		// A new head: let the next round look at it.
+		m.nonEmpty++
+		m.setReady(q.idx)
 	}
 	q.n += len(evs)
 	m.remaining += len(evs)
@@ -275,6 +312,13 @@ func (m *Merger) classify(e *trace.Event) syncClass {
 // makes no progress (more input, a Finish, or nothing at all may be
 // needed) or when fn fails.
 //
+// A round visits only the ready queues, smallest position first. A
+// queue woken behind the round's cursor is drained in the next round,
+// one woken ahead of it in this one: the order a round over every
+// thread would deliver. A stall is a thread passed blocked in a round;
+// every queue still holding events at a round's end was passed blocked
+// exactly once in it, so the round adds that many.
+//
 // fn receives the events as runs: a run is a slice of one thread's
 // head block holding a maximal stretch of ready events, of which at most
 // one is a sync event, and then only as the last element. The slice
@@ -291,38 +335,140 @@ func (m *Merger) Pump(fn func(run []trace.Event) (int, error)) error {
 	if m.remaining == 0 {
 		return nil
 	}
-	for {
-		progressed := false
-		m.rounds.Inc()
-		for _, q := range m.queues {
-			// Drain this thread greedily until it blocks on a timestamp.
-			for q.n > 0 {
-				head := &q.head[q.pos]
-				cls := syncNone
-				if head.Kind.IsSync() {
-					if cls = m.classify(head); cls == syncBlocked {
-						m.nStalls++
-						m.stalls.Inc()
-						break
-					}
-					if cls == syncBad && m.deg == nil {
-						return fmt.Errorf("hb: thread %d event %d: bad counter %d",
-							q.tid, q.taken, head.Counter)
-					}
-				}
-				run, cls := m.nextRun(q, cls)
-				n, err := fn(run)
-				m.commit(q, run, n, cls)
-				if err != nil {
-					return err
-				}
-				progressed = true
+	m.rounds.Inc()
+	progressed := false
+	for cursor := 0; ; {
+		p := m.nextReady(cursor)
+		if p < 0 {
+			m.stall(m.nonEmpty)
+			if !progressed {
+				return nil
 			}
+			m.rounds.Inc()
+			cursor, progressed = 0, false
+			continue
 		}
-		if !progressed {
-			return nil
+		m.ready[p>>6] &^= 1 << (p & 63)
+		cursor = p + 1
+		q := m.queues[p]
+		// Drain this thread greedily until it blocks on a timestamp.
+		for q.n > 0 {
+			head := &q.head[q.pos]
+			cls := syncNone
+			if head.Kind.IsSync() {
+				if cls = m.classify(head); cls == syncBlocked {
+					m.park(q, head)
+					break
+				}
+				if cls == syncBad && m.deg == nil {
+					m.interrupt(p)
+					return fmt.Errorf("hb: thread %d event %d: bad counter %d",
+						q.tid, q.taken, head.Counter)
+				}
+			}
+			run, cls := m.nextRun(q, cls)
+			n, err := fn(run)
+			m.commit(q, run, n, cls)
+			if err != nil {
+				m.interrupt(p)
+				return err
+			}
+			progressed = true
 		}
 	}
+}
+
+// interrupt ends a round cut short by an error at position p. The
+// queues before p were passed, each one still holding events blocked
+// once; the queue at p stays ready so the next round visits it again.
+func (m *Merger) interrupt(p int) {
+	if m.queues[p].n > 0 {
+		m.setReady(p)
+	}
+	n := 0
+	for _, q := range m.queues[:p] {
+		if q.n > 0 {
+			n++
+		}
+	}
+	m.stall(n)
+}
+
+func (m *Merger) stall(n int) {
+	m.nStalls += uint64(n)
+	m.stalls.Add(uint64(n))
+}
+
+func (m *Merger) setReady(p int) { m.ready[p>>6] |= 1 << (p & 63) }
+
+// nextReady returns the smallest ready position at or after p, or -1.
+func (m *Merger) nextReady(p int) int {
+	w := p >> 6
+	if w >= len(m.ready) {
+		return -1
+	}
+	for x := m.ready[w] &^ (1<<(p&63) - 1); ; x = m.ready[w] {
+		if x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+		if w++; w == len(m.ready) {
+			return -1
+		}
+	}
+}
+
+// waiter is a queue parked until its head's counter reaches ts.
+type waiter struct {
+	ts uint64
+	q  *mergeQueue
+}
+
+// park puts q, whose head sync event e is blocked, on e's counter's
+// wait list. In strict mode a head whose slot already passed can never
+// become ready, so it parks nowhere.
+func (m *Merger) park(q *mergeQueue, e *trace.Event) {
+	if e.TS < m.next[e.Counter] {
+		return
+	}
+	h := append(m.waits[e.Counter], waiter{e.TS, q})
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up].ts <= h[i].ts {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	m.waits[e.Counter] = h
+}
+
+// wake moves every queue parked on counter c at a timestamp the
+// counter has reached into the ready set. A bump, like Finish's
+// fast-forward to the smallest gap, reaches one new timestamp; more
+// than one queue waits on it only in a damaged log.
+func (m *Merger) wake(c uint8) {
+	h := m.waits[c]
+	for len(h) > 0 && h[0].ts <= m.next[c] {
+		m.setReady(h[0].q.idx)
+		last := len(h) - 1
+		h[0], h[last] = h[last], waiter{}
+		h = h[:last]
+		for i := 0; ; {
+			j := 2*i + 1
+			if j >= len(h) {
+				break
+			}
+			if j+1 < len(h) && h[j+1].ts < h[j].ts {
+				j++
+			}
+			if h[i].ts <= h[j].ts {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			i = j
+		}
+	}
+	m.waits[c] = h
 }
 
 // nextRun returns the run at q's head, whose first event has class
@@ -375,7 +521,11 @@ func (m *Merger) commit(q *mergeQueue, run []trace.Event, n int, cls syncClass) 
 	if n == len(run) {
 		switch cls {
 		case syncReady:
-			m.next[run[n-1].Counter]++
+			c := run[n-1].Counter
+			m.next[c]++
+			if h := m.waits[c]; len(h) > 0 && h[0].ts <= m.next[c] {
+				m.wake(c)
+			}
 		case syncStale:
 			m.deg.StaleEvents++
 		case syncBad:
@@ -391,6 +541,9 @@ func (m *Merger) commit(q *mergeQueue, run []trace.Event, n int, cls syncClass) 
 	q.n -= n
 	m.remaining -= n
 	m.delivered += uint64(n)
+	if q.n == 0 && n > 0 {
+		m.nonEmpty--
+	}
 	if q.pos += n; q.pos == mergeBlockLen || q.n == 0 {
 		// The head block is spent (or the queue drained): recycle it so
 		// the next Add reuses it.
@@ -445,6 +598,7 @@ func (m *Merger) Finish(fn func(run []trace.Event) (int, error)) error {
 		m.deg.SlotsSkipped += bestGap
 		m.skips.Add(bestGap)
 		m.next[best.Counter] = best.TS
+		m.wake(best.Counter)
 	}
 }
 

@@ -472,6 +472,7 @@ type mergeShape struct {
 	degraded  bool
 	drop      int // chunks dropped (timestamp gaps)
 	dup       int // chunks delivered twice (stale events)
+	forge     int // chunks copied into another thread's stream: two queues wait on one (counter, ts)
 	badCtr    int // sync events given an out-of-range counter
 	suspect   int // chunks flagged suspect from a random index
 	failAt    int
@@ -574,6 +575,19 @@ func genMergeCase(r *rand.Rand, s mergeShape) mergeCase {
 		at := j + r.Intn(len(c.chunks)-j+1)
 		c.chunks = append(c.chunks[:at], append([]mergeChunk{c.chunks[j]}, c.chunks[at:]...)...)
 	}
+	for i := 0; i < s.forge && len(c.chunks) > 0 && s.threads > 1; i++ {
+		j := r.Intn(len(c.chunks))
+		tid := int32(tids[r.Intn(s.threads)])
+		for tid == c.chunks[j].tid {
+			tid = int32(tids[r.Intn(s.threads)])
+		}
+		evs := append([]trace.Event(nil), c.chunks[j].evs...)
+		for k := range evs {
+			evs[k].TID = tid
+		}
+		at := r.Intn(len(c.chunks) + 1)
+		c.chunks = append(c.chunks[:at], append([]mergeChunk{{tid: tid, evs: evs, suspectFrom: len(evs)}}, c.chunks[at:]...)...)
+	}
 	for i := 0; i < s.drop && len(c.chunks) > 1; i++ {
 		j := r.Intn(len(c.chunks))
 		c.chunks = append(c.chunks[:j], c.chunks[j+1:]...)
@@ -601,10 +615,16 @@ func genMergeCase(r *rand.Rand, s mergeShape) mergeCase {
 func lirPC(i int) lir.PC { return lir.PC{Func: int32(i % 7), Index: int32(i)} }
 
 // randomShape derives a shape from a seed: small logs with every kind of
-// damage in either mode, and now and then a backlog spanning many blocks.
+// damage in either mode, now and then a backlog spanning many blocks,
+// and now and then up to 300 threads, so the ready set spans several
+// words.
 func randomShape(r *rand.Rand) mergeShape {
+	threads := 1 + r.Intn(8)
+	if r.Intn(4) == 0 {
+		threads = 9 + r.Intn(292)
+	}
 	s := mergeShape{
-		threads:  1 + r.Intn(8),
+		threads:  threads,
 		events:   r.Intn(3000),
 		maxChunk: 1 + r.Intn(1200),
 		syncPct:  r.Intn(60),
@@ -618,7 +638,7 @@ func randomShape(r *rand.Rand) mergeShape {
 		s.lag = 1 + r.Intn(20)
 	}
 	if r.Intn(2) == 0 {
-		s.drop, s.dup, s.badCtr, s.suspect = r.Intn(3), r.Intn(3), r.Intn(2), r.Intn(3)
+		s.drop, s.dup, s.forge, s.badCtr, s.suspect = r.Intn(3), r.Intn(3), r.Intn(3), r.Intn(2), r.Intn(3)
 	}
 	if r.Intn(8) == 0 {
 		s.failAt = 1 + r.Intn(s.events+s.forks+1)
@@ -671,6 +691,31 @@ func TestMergerOrderSeeded(t *testing.T) {
 		"dup strict":     func(s *mergeShape) { s.dup = 2 },
 		"bad ctr strict": func(s *mergeShape) { s.badCtr = 1 },
 		"consumer fails": func(s *mergeShape) { s.failAt = 700 },
+		"forge degraded": func(s *mergeShape) { s.degraded, s.forge = true, 2 },
+		"forge strict":   func(s *mergeShape) { s.forge = 2 },
+		// Queue positions across ready-set words: tids arrive out of
+		// order, so queues are inserted mid-list and bits shift across
+		// word boundaries.
+		"63 threads":  func(s *mergeShape) { s.threads, s.events = 63, 6000 },
+		"64 threads":  func(s *mergeShape) { s.threads, s.events = 64, 6000 },
+		"65 threads":  func(s *mergeShape) { s.threads, s.events, s.lateFirst, s.forks = 65, 6000, true, 64 },
+		"130 threads": func(s *mergeShape) { s.threads, s.events, s.counters = 130, 9000, 2 },
+		"300 threads": func(s *mergeShape) { s.threads, s.events, s.maxChunk = 300, 12000, 40 },
+		"300 threads late first": func(s *mergeShape) {
+			s.threads, s.events, s.counters, s.lateFirst, s.forks = 300, 12000, 1, true, 299
+		},
+		"65 threads dup forge degraded": func(s *mergeShape) {
+			s.threads, s.events, s.degraded, s.dup, s.forge = 65, 6000, true, 3, 3
+		},
+		"130 threads dup forge strict": func(s *mergeShape) { s.threads, s.events, s.dup, s.forge = 130, 9000, 2, 2 },
+		"300 threads all damage": func(s *mergeShape) {
+			s.threads, s.events, s.degraded = 300, 12000, true
+			s.drop, s.dup, s.forge, s.badCtr, s.suspect = 3, 3, 3, 1, 3
+		},
+		"130 threads consumer fails": func(s *mergeShape) { s.threads, s.events, s.failAt = 130, 9000, 5000 },
+		// A strict error leaves queues ready while later chunks insert
+		// new tids below them.
+		"300 threads bad ctr strict": func(s *mergeShape) { s.threads, s.events, s.syncPct, s.badCtr = 300, 2000, 40, 2 },
 	}
 	for name, mut := range shapes {
 		for seed := int64(1); seed <= 6; seed++ {

@@ -479,8 +479,8 @@ func chunkCRC(tag uint64, payload []byte) uint32 {
 // number of bytes consumed. A decode failure returns the events decoded
 // so far, the offset of the bad event, and the error; the decoders keep
 // the prefix. Most varints in a log are one byte (small PCs, masks and
-// counters), so the loop reads those inline and calls binary.Uvarint
-// only for longer ones.
+// counters) or two (addresses and timestamps below 16384), so the loop
+// reads those inline and calls binary.Uvarint only for longer ones.
 func decodeEventsPrefix(dst []Event, tid int32, payload []byte) ([]Event, int, error) {
 	evs := dst
 	i := 0
@@ -497,28 +497,38 @@ func decodeEventsPrefix(dst []Event, tid int32, payload []byte) ([]Event, int, e
 			return evs, at, fmt.Errorf("trace: bad sync op %d", e.Op)
 		}
 		i += 2
-		// Each varint: one byte inline, else uvarintAt (i < 0 on error).
+		// Each varint: one or two bytes inline, else uvarintAt (i < 0
+		// on error). A two-byte varint is a byte with the continuation
+		// bit, then one without.
 		var v uint64
 		if i < len(payload) && payload[i] < 0x80 {
 			v, i = uint64(payload[i]), i+1
+		} else if i+1 < len(payload) && payload[i+1] < 0x80 {
+			v, i = uint64(payload[i]&0x7f)|uint64(payload[i+1])<<7, i+2
 		} else if v, i = uvarintAt(payload, i); i < 0 {
 			return evs, at, errTruncatedVarint
 		}
 		e.PC.Func = int32(uint32(v))
 		if i < len(payload) && payload[i] < 0x80 {
 			v, i = uint64(payload[i]), i+1
+		} else if i+1 < len(payload) && payload[i+1] < 0x80 {
+			v, i = uint64(payload[i]&0x7f)|uint64(payload[i+1])<<7, i+2
 		} else if v, i = uvarintAt(payload, i); i < 0 {
 			return evs, at, errTruncatedVarint
 		}
 		e.PC.Index = int32(uint32(v))
 		if i < len(payload) && payload[i] < 0x80 {
 			e.Addr, i = uint64(payload[i]), i+1
+		} else if i+1 < len(payload) && payload[i+1] < 0x80 {
+			e.Addr, i = uint64(payload[i]&0x7f)|uint64(payload[i+1])<<7, i+2
 		} else if e.Addr, i = uvarintAt(payload, i); i < 0 {
 			return evs, at, errTruncatedVarint
 		}
 		if e.Kind.IsMem() {
 			if i < len(payload) && payload[i] < 0x80 {
 				v, i = uint64(payload[i]), i+1
+			} else if i+1 < len(payload) && payload[i+1] < 0x80 {
+				v, i = uint64(payload[i]&0x7f)|uint64(payload[i+1])<<7, i+2
 			} else if v, i = uvarintAt(payload, i); i < 0 {
 				return evs, at, errTruncatedVarint
 			}
@@ -531,6 +541,8 @@ func decodeEventsPrefix(dst []Event, tid int32, payload []byte) ([]Event, int, e
 			i++
 			if i < len(payload) && payload[i] < 0x80 {
 				e.TS, i = uint64(payload[i]), i+1
+			} else if i+1 < len(payload) && payload[i+1] < 0x80 {
+				e.TS, i = uint64(payload[i]&0x7f)|uint64(payload[i+1])<<7, i+2
 			} else if e.TS, i = uvarintAt(payload, i); i < 0 {
 				return evs, at, errTruncatedVarint
 			}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
@@ -534,5 +535,50 @@ func TestFlushAllocatesNothing(t *testing.T) {
 	}
 	if w.BytesWritten()-uint64(len(magic)) >= checkpointInterval {
 		t.Fatalf("the runs wrote %d bytes: a checkpoint fell inside them", w.BytesWritten())
+	}
+}
+
+// TestVarintWidthsRoundTrip round-trips every varint field of an event
+// at each width boundary (one to ten bytes), so each of the decoder's
+// inline one- and two-byte paths and its out-of-line path is exercised
+// on every field.
+func TestVarintWidthsRoundTrip(t *testing.T) {
+	widths := []uint64{0, 1, 127, 128, 129, 255, 256, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<32 - 1, 1 << 35, 1<<63 + 5}
+	var want []Event
+	for _, v := range widths {
+		pc := int32(uint32(v))
+		want = append(want,
+			Event{Kind: KindWrite, TID: 3, PC: lir.PC{Func: pc, Index: 1}, Addr: 1, Mask: 1},
+			Event{Kind: KindRead, TID: 3, PC: lir.PC{Func: 1, Index: pc}, Addr: 1, Mask: 1},
+			Event{Kind: KindWrite, TID: 3, PC: lir.PC{Func: 1, Index: 1}, Addr: v, Mask: uint32(v)},
+			Event{Kind: KindAcquire, Op: OpLock, TID: 3, Addr: v, Counter: 5, TS: v},
+		)
+	}
+	var payload []byte
+	for _, e := range want {
+		payload = appendEvent(payload, e)
+	}
+	got, n, err := decodeEventsPrefix(nil, 3, payload)
+	if err != nil || n != len(payload) {
+		t.Fatalf("decode: %d of %d bytes, %v", n, len(payload), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTwoByteVarintsMatchUvarint decodes every two-byte varint form,
+// non-minimal ones included, in the address field and checks the value
+// against binary.Uvarint.
+func TestTwoByteVarintsMatchUvarint(t *testing.T) {
+	for b0 := 0x80; b0 <= 0xff; b0++ {
+		for b1 := 0; b1 < 0x80; b1++ {
+			payload := []byte{byte(KindRead), 0, 1, 1, byte(b0), byte(b1), 1}
+			want, _ := binary.Uvarint(payload[4:6])
+			got, n, err := decodeEventsPrefix(nil, 1, payload)
+			if err != nil || n != len(payload) || len(got) != 1 || got[0].Addr != want {
+				t.Fatalf("%#x %#x: decoded %+v (%d bytes, %v), want address %d", b0, b1, got, n, err, want)
+			}
+		}
 	}
 }
